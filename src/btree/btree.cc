@@ -262,7 +262,10 @@ Status BTree::SplitChild(txn::Transaction* txn, PageHandle* parent_handle,
     rec.after = n.SerializeContent();
     SHOREMT_RETURN_NOT_OK(LogAndMark(txn, h, std::move(rec)));
   }
-  // Publish the separator in the parent (guaranteed non-full).
+  // Publish the separator in the parent (guaranteed non-full). Like the
+  // rest of the split it is redo-only, off the transaction's undo chain:
+  // undoing it as a row insert would remove the committed leaf entry
+  // that shares the separator's key.
   parent.InsertSorted(sep, right_page);
   log::LogRecord prec;
   prec.type = log::LogRecordType::kBtreeInsert;
@@ -271,7 +274,7 @@ Status BTree::SplitChild(txn::Transaction* txn, PageHandle* parent_handle,
   prec.after.resize(sizeof(BTreeEntry));
   BTreeEntry pe{sep, right_page};
   std::memcpy(prec.after.data(), &pe, sizeof(pe));
-  SHOREMT_RETURN_NOT_OK(LogAndMark(txn, parent_handle, std::move(prec)));
+  SHOREMT_RETURN_NOT_OK(LogAndMark(nullptr, parent_handle, std::move(prec)));
 
   // Continue the descent into whichever half now covers `key`.
   if (key >= sep) {

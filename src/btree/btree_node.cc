@@ -58,6 +58,7 @@ bool BTreeNode::RemoveKey(uint64_t key) {
   BTreeEntry* e = entries();
   std::memmove(e + i, e + i + 1, (count() - i - 1) * sizeof(BTreeEntry));
   --node_header()->count;
+  std::memset(e + count(), 0, sizeof(BTreeEntry));
   return true;
 }
 
@@ -86,9 +87,15 @@ void BTreeNode::RestoreContent(std::span<const uint8_t> blob) {
   page::PageHeader* ph = page::HeaderOf(data_);
   std::memcpy(&ph->next_page, blob.data(), sizeof(PageNum));
   std::memcpy(&ph->prev_page, blob.data() + sizeof(PageNum), sizeof(PageNum));
+  size_t len = blob.size() - 2 * sizeof(PageNum);
   std::memcpy(data_ + sizeof(page::PageHeader),
-              blob.data() + 2 * sizeof(PageNum),
-              blob.size() - 2 * sizeof(PageNum));
+              blob.data() + 2 * sizeof(PageNum), len);
+  std::memset(data_ + sizeof(page::PageHeader) + len, 0,
+              kPageSize - sizeof(page::PageHeader) - len);
+  // The page type follows the level: a root split turns a leaf root
+  // internal, and redo of that split must too.
+  ph->type = level() == 0 ? page::PageType::kBTreeLeaf
+                          : page::PageType::kBTreeInternal;
 }
 
 uint64_t BTreeNode::SplitInto(BTreeNode* right) {
@@ -100,6 +107,7 @@ uint64_t BTreeNode::SplitInto(BTreeNode* right) {
   std::memcpy(right->entries(), entries() + keep, move * sizeof(BTreeEntry));
   rh->count = move;
   node_header()->count = keep;
+  std::memset(entries() + keep, 0, move * sizeof(BTreeEntry));
   if (level() > 0) {
     // Internal split: the first moved entry's key becomes the separator;
     // its child becomes the right node's leftmost pointer.
@@ -108,6 +116,7 @@ uint64_t BTreeNode::SplitInto(BTreeNode* right) {
     std::memmove(right->entries(), right->entries() + 1,
                  (move - 1) * sizeof(BTreeEntry));
     --rh->count;
+    std::memset(right->entries() + rh->count, 0, sizeof(BTreeEntry));
     return sep;
   }
   return right->entry(0).key;

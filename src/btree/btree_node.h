@@ -31,6 +31,9 @@ inline RecordId UnpackRecordId(uint64_t v) {
 ///   BTreeEntry[count]  (sorted by key, dense)
 /// Internal-node semantics: keys < entry[0].key descend to leftmost_child;
 /// keys in [entry[i].key, entry[i+1].key) descend to entry[i].value.
+/// Bytes past the live entries are kept zero, so a node's image is a
+/// function of its content alone: forward processing, redo and media
+/// repair of the same history produce the same bytes.
 /// Not synchronized: callers hold the page latch.
 class BTreeNode {
  public:

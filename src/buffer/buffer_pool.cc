@@ -506,10 +506,9 @@ Status BufferPool::WriteBack(int frame, PageNum page) {
     SHOREMT_RETURN_NOT_OK(log_flush_(page_lsn));  // WAL: log first.
   }
   // Stamp the image's checksum immediately before it leaves the pool (the
-  // caller guarantees a stable image: eviction owns the claimed frame,
-  // FlushPage holds the shared latch; the checksum word itself is written
-  // through an atomic so concurrent stampers of an identical image are
-  // benign).
+  // caller guarantees a stable image and holds the page's in-transit
+  // claim: eviction owns the claimed frame, FlushPage holds the shared
+  // latch).
   page::StampPageChecksum(FrameData(frame));
   // Route through the async spine like every other write-back so the one
   // retry/accounting/fault-injection choke point covers synchronous
@@ -527,6 +526,12 @@ Status BufferPool::FlushPage(PageNum page) {
   if (frame < 0) return Status::Ok();  // Not cached: nothing to do.
   Frame& f = frames_[frame];
   f.latch.AcquireShared();
+  // Every write-back holds the page's in-transit claim: the cleaner may
+  // still be writing this frame under its own claim (and a shared latch
+  // like ours), and re-stamping the checksum under that in-flight write
+  // would change the image the device is reading. Its completion clears
+  // the dirty flag, so the wait usually leaves nothing to write.
+  while (!in_transit_.TryAdd(page)) in_transit_.WaitUntilClear(page);
   Status st = Status::Ok();
   if (f.dirty.load(std::memory_order_acquire)) {
     st = WriteBack(frame, page);
@@ -536,6 +541,7 @@ Status BufferPool::FlushPage(PageNum page) {
       dpt_.Erase(page);
     }
   }
+  in_transit_.Remove(page);
   f.latch.ReleaseShared();
   f.Unpin();
   return st;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/crc32c.h"
+#include "log/log_storage.h"
 
 namespace shoremt::log {
 
@@ -115,6 +116,25 @@ Status LogArchive::Read(uint64_t offset, size_t len,
       }
     }
     pos += want;
+  }
+  return Status::Ok();
+}
+
+Status LogArchive::ReadHistory(const LogStorage* live,
+                               std::vector<uint8_t>* out) const {
+  out->clear();
+  if (!empty()) {
+    if (base_offset() != 0) {
+      return Status::Corruption("archive starts at offset " +
+                                std::to_string(base_offset()) +
+                                ", log prefix was recycled unarchived");
+    }
+    SHOREMT_RETURN_NOT_OK(Read(0, end_offset(), out));
+  }
+  if (live != nullptr) {
+    std::vector<uint8_t> tail;
+    SHOREMT_RETURN_NOT_OK(live->ReadFrom(end_offset(), &tail));
+    out->insert(out->end(), tail.begin(), tail.end());
   }
   return Status::Ok();
 }

@@ -10,6 +10,8 @@
 
 namespace shoremt::log {
 
+class LogStorage;
+
 /// One archived log segment, as recorded by a MANIFEST line written by
 /// LogStorage::Recycle when LogOptions::archive_dir is set:
 ///   v2 <base> <length> <capacity> <crc32c> <file>   (current)
@@ -26,9 +28,10 @@ struct ArchivedSegment {
 /// Read-side view of a segment archive directory: parses the MANIFEST
 /// and serves byte ranges out of the per-segment files, verifying each
 /// touched v2 segment against its manifest CRC. Consumers: the shipper's
-/// below-horizon fallback, point-in-time restore (repl::RestoreToLsn),
-/// and the storage manager's media auto-repair — which is why this lives
-/// in the log layer, below sm and repl.
+/// below-horizon fallback, and — through ReadHistory — point-in-time
+/// restore (repl::RestoreToLsn) and the storage manager's media
+/// auto-repair, which is why this lives in the log layer, below sm and
+/// repl.
 class LogArchive {
  public:
   /// Opens `dir`. A missing directory or MANIFEST yields an EMPTY archive
@@ -57,6 +60,14 @@ class LogArchive {
   /// Corruption when a touched v2 segment file fails its manifest CRC
   /// (named precisely, with stored vs computed values).
   Status Read(uint64_t offset, size_t len, std::vector<uint8_t>* out) const;
+
+  /// Reads the log's whole history into `out` as one stream from offset 0
+  /// (LSN 1): every archived byte, then `live`'s bytes from the archive's
+  /// end on (`live` may be null). An archive that does not start at
+  /// offset 0 is Corruption — its prefix was recycled before archiving
+  /// was switched on — and a gap between the archive's end and the live
+  /// reclamation horizon fails in LogStorage::ReadFrom.
+  Status ReadHistory(const LogStorage* live, std::vector<uint8_t>* out) const;
 
  private:
   std::string dir_;

@@ -140,9 +140,7 @@ Result<LogRecord> LogManager::ReadRecord(Lsn lsn) const {
   return rec;
 }
 
-Status LogManager::Scan(
-    const std::function<Status(const LogRecord&, Lsn end)>& fn,
-    Lsn from) const {
+Status LogManager::Scan(const LogRecordVisitor& fn, Lsn from) const {
   // Clamp to the reclamation horizon: bytes below it may be recycled, and
   // the horizon is always a record boundary (it is an LSN a checkpoint
   // computed), so the scan stays aligned.
@@ -150,38 +148,7 @@ Status LogManager::Scan(
   offset = std::max(offset, storage_->reclaim_horizon().value - 1);
   std::vector<uint8_t> live;
   SHOREMT_RETURN_NOT_OK(storage_->ReadFrom(offset, &live));
-  size_t pos = 0;
-  while (pos + 4 <= live.size()) {
-    uint32_t total_len;
-    std::memcpy(&total_len, live.data() + pos, 4);
-    if (total_len < kLogRecordHeaderSize + kLogRecordCrcSize) {
-      // A durable length prefix can never be this small: bytes below the
-      // durable end were written whole, so this is media damage, not a
-      // torn tail.
-      return Status::Corruption("bad log record length prefix at LSN " +
-                                std::to_string(offset + pos + 1));
-    }
-    if (pos + total_len > live.size()) {
-      // Torn tail: the record extends past the durable bytes — its append
-      // never completed, so the scan (and the log) ends here.
-      return Status::Ok();
-    }
-    LogRecord rec;
-    size_t consumed;
-    std::span<const uint8_t> rest(live.data() + pos, live.size() - pos);
-    Status st = DeserializeLogRecord(rest, &rec, &consumed);
-    if (!st.ok()) {
-      // Fully contained but failing its CRC / format check: surface it.
-      // Unlike a torn tail, these bytes WERE durably written and are now
-      // wrong — ending the scan silently would drop committed work.
-      return Status::Corruption(st.message() + " at LSN " +
-                                std::to_string(offset + pos + 1));
-    }
-    rec.lsn = Lsn{offset + pos + 1};
-    SHOREMT_RETURN_NOT_OK(fn(rec, Lsn{offset + pos + consumed + 1}));
-    pos += consumed;
-  }
-  return Status::Ok();
+  return WalkLogRecords(live, offset, fn).status();
 }
 
 }  // namespace shoremt::log

@@ -173,11 +173,10 @@ class LogManager {
   Result<LogRecord> ReadRecord(Lsn lsn) const;
 
   /// Iterates every durable record in LSN order starting at `from`
-  /// (clamped up to the reclamation horizon — recycled bytes are gone);
-  /// the callback receives each record with `lsn` and computed end LSN
-  /// filled in. Stops early on callback error.
-  Status Scan(const std::function<Status(const LogRecord&, Lsn end)>& fn,
-              Lsn from = Lsn{1}) const;
+  /// (clamped up to the reclamation horizon — recycled bytes are gone)
+  /// through WalkLogRecords: a damaged record is Corruption, a torn tail
+  /// ends the scan. Stops early on callback error.
+  Status Scan(const LogRecordVisitor& fn, Lsn from = Lsn{1}) const;
 
   const LogStats& stats() const { return stats_; }
   LogStorage* storage() { return storage_; }

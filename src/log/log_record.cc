@@ -1,6 +1,7 @@
 #include "log/log_record.h"
 
 #include <cstring>
+#include <string>
 
 #include "common/crc32c.h"
 
@@ -91,6 +92,32 @@ Status DeserializeLogRecord(std::span<const uint8_t> data, LogRecord* rec,
   rec->after.assign(data.begin() + off, data.begin() + off + after_len);
   *consumed = total_len;
   return Status::Ok();
+}
+
+Result<size_t> WalkLogRecords(std::span<const uint8_t> bytes, uint64_t base,
+                              const LogRecordVisitor& fn) {
+  LogRecord rec;
+  size_t pos = 0;
+  while (pos + 4 <= bytes.size()) {
+    uint32_t total_len;
+    std::memcpy(&total_len, bytes.data() + pos, 4);
+    uint64_t lsn = base + pos + 1;
+    if (total_len < kHeaderSize + kLogRecordCrcSize) {
+      return Status::Corruption("bad log record length prefix at LSN " +
+                                std::to_string(lsn));
+    }
+    if (total_len > bytes.size() - pos) break;  // Torn or incomplete tail.
+    size_t consumed;
+    Status st = DeserializeLogRecord(bytes.subspan(pos), &rec, &consumed);
+    if (!st.ok()) {
+      return Status::Corruption(st.message() + " at LSN " +
+                                std::to_string(lsn));
+    }
+    rec.lsn = Lsn{lsn};
+    SHOREMT_RETURN_NOT_OK(fn(rec, Lsn{lsn + consumed}));
+    pos += consumed;
+  }
+  return pos;
 }
 
 void SerializeCheckpoint(const CheckpointBody& body,

@@ -2,6 +2,7 @@
 #define SHOREMT_LOG_LOG_RECORD_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -77,6 +78,21 @@ void SerializeLogRecord(const LogRecord& rec, std::vector<uint8_t>* out);
 /// lsn) and sets `consumed` to the record's total length.
 Status DeserializeLogRecord(std::span<const uint8_t> data, LogRecord* rec,
                             size_t* consumed);
+
+/// Visitor for WalkLogRecords: a record (lsn filled in) and its end LSN.
+/// The record is the walker's scratch, so a visitor may move out of it.
+using LogRecordVisitor = std::function<Status(LogRecord& rec, Lsn end)>;
+
+/// Walks the serialized records in `bytes`, whose first byte is log offset
+/// `base` (LSN base + 1), handing each whole record to `fn`. The one rule
+/// every reader of the log follows: a length prefix below header + CRC, or
+/// a record the span fully holds that fails its CRC or format check, is
+/// Corruption naming its LSN — those bytes were written whole and are now
+/// wrong; a record running past the end of the span (a torn tail, or one
+/// not yet received) ends the walk cleanly. Returns the bytes consumed by
+/// whole records; a visitor error stops the walk and is returned.
+Result<size_t> WalkLogRecords(std::span<const uint8_t> bytes, uint64_t base,
+                              const LogRecordVisitor& fn);
 
 /// One active transaction captured by a fuzzy checkpoint.
 struct CheckpointTxn {

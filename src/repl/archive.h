@@ -31,11 +31,12 @@ struct RestoredInstance {
   std::unique_ptr<sm::StorageManager> sm;
 };
 
-/// Point-in-time restore: reconstructs the full log stream — archived
-/// segments first, then the live storage's surviving bytes — truncates it
-/// after the last record whose end LSN is <= `target`, and runs a full
-/// restart (OpenMode::kRestore: redo from LSN 1 over a fresh volume) on
-/// the result. Transactions still in flight at `target` are rolled back
+/// Point-in-time restore: reads the full log history — archived segments
+/// first, then the live storage's surviving bytes (LogArchive::
+/// ReadHistory) — keeps the records whose end LSN is <= `target`, and runs
+/// a full restart (OpenMode::kRestore: redo from LSN 1 over a fresh
+/// volume) on them. A damaged record anywhere in the history is
+/// Corruption (log::WalkLogRecords). Transactions still in flight at `target` are rolled back
 /// by restart undo, exactly as if the primary had crashed at that LSN.
 ///
 /// `live` may be null (restore purely from the archive — e.g. the primary

@@ -162,24 +162,9 @@ Status Replica::ReceiveLoop() {
 }
 
 Status Replica::ProcessNewBytes() {
-  uint64_t sz = storage_->size();
-  std::vector<uint8_t> buf;
-  while (parse_pos_ + 4 <= sz) {
-    SHOREMT_RETURN_NOT_OK(storage_->Read(parse_pos_, 4, &buf));
-    uint32_t len;
-    std::memcpy(&len, buf.data(), 4);
-    if (len < log::kLogRecordHeaderSize) {
-      return Status::Corruption("replica: bad record length at offset " +
-                                std::to_string(parse_pos_));
-    }
-    if (parse_pos_ + len > sz) break;  // incomplete tail; wait for more
-    SHOREMT_RETURN_NOT_OK(storage_->Read(parse_pos_, len, &buf));
-    log::LogRecord rec;
-    size_t consumed;
-    SHOREMT_RETURN_NOT_OK(log::DeserializeLogRecord(buf, &rec, &consumed));
-    rec.lsn = Lsn{parse_pos_ + 1};
-    Lsn end{parse_pos_ + consumed + 1};
-
+  std::vector<uint8_t> bytes;
+  SHOREMT_RETURN_NOT_OK(storage_->ReadFrom(parse_pos_, &bytes));
+  auto dispatch = [&](log::LogRecord& rec, Lsn end) -> Status {
     using log::LogRecordType;
     switch (rec.type) {
       case LogRecordType::kCheckpoint:
@@ -237,8 +222,11 @@ Status Replica::ProcessNewBytes() {
       default:
         break;  // kNoop
     }
-    parse_pos_ += consumed;
-  }
+    return Status::Ok();
+  };
+  SHOREMT_ASSIGN_OR_RETURN(size_t consumed,
+                           log::WalkLogRecords(bytes, parse_pos_, dispatch));
+  parse_pos_ += consumed;
   return Status::Ok();
 }
 

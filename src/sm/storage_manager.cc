@@ -50,6 +50,83 @@ Status DeserializeTableInfo(std::span<const uint8_t> data, TableInfo* info) {
   return Status::Ok();
 }
 
+/// The record type whose page change `rec` carries: a CLR's embedded
+/// action, the record's own type otherwise.
+log::LogRecordType PageActionOf(const log::LogRecord& rec) {
+  return rec.type == log::LogRecordType::kClr
+             ? static_cast<log::LogRecordType>(rec.page_type)
+             : rec.type;
+}
+
+/// True for the page actions redo applies to page bytes (two contiguous
+/// runs of the enum); every other record type is metadata (analysis) or
+/// transaction bookkeeping.
+bool IsPageAction(log::LogRecordType type) {
+  using T = log::LogRecordType;
+  return (type >= T::kPageFormat && type <= T::kPageDelete) ||
+         (type >= T::kBtreeInsert && type <= T::kBtreeSetContent);
+}
+
+/// The one redo kernel: recovery, the replica's replay pool and PITR
+/// restore reach it through ApplyRedo, media repair directly. Applies the
+/// page action `rec` carries (ending at `end`) to the raw image `img` —
+/// a format initializes the image; any other action first checks that
+/// the image is a formatted copy of rec.page, since anything else means
+/// the WAL invariants broke upstream and writing through garbage offsets
+/// would spread the damage. Stamps page_lsn = max(page_lsn, end), so
+/// commit-ordered replica replay only ever ratchets it upward. Records
+/// without a page action leave the image alone.
+Status RedoToImage(const log::LogRecord& rec, Lsn end, uint8_t* img) {
+  using log::LogRecordType;
+  LogRecordType action = PageActionOf(rec);
+  if (!IsPageAction(action)) return Status::Ok();
+  page::PageHeader* header = page::HeaderOf(img);
+  if (action != LogRecordType::kPageFormat &&
+      !page::PageLooksValid(img, rec.page)) {
+    return Status::Corruption("redo hit an invalid image for page " +
+                              std::to_string(rec.page));
+  }
+  switch (action) {
+    case LogRecordType::kPageFormat: {
+      auto type = static_cast<page::PageType>(rec.page_type);
+      if (type == page::PageType::kData) {
+        page::SlottedPage(img).Init(rec.page, rec.store, type);
+      } else {
+        btree::BTreeNode(img).Init(
+            rec.page, rec.store, type == page::PageType::kBTreeLeaf ? 0 : 1);
+      }
+      break;
+    }
+    case LogRecordType::kPageInsert:
+      SHOREMT_RETURN_NOT_OK(
+          page::SlottedPage(img).InsertAt(rec.slot, rec.after));
+      break;
+    case LogRecordType::kPageUpdate:
+      SHOREMT_RETURN_NOT_OK(page::SlottedPage(img).Update(rec.slot, rec.after));
+      break;
+    case LogRecordType::kPageDelete:
+      SHOREMT_RETURN_NOT_OK(page::SlottedPage(img).Delete(rec.slot));
+      break;
+    case LogRecordType::kBtreeInsert: {
+      btree::BTreeEntry e;
+      std::memcpy(&e, rec.after.data(), sizeof(e));
+      btree::BTreeNode(img).InsertSorted(e.key, e.value);
+      break;
+    }
+    case LogRecordType::kBtreeDelete: {
+      btree::BTreeEntry e;
+      std::memcpy(&e, rec.before.data(), sizeof(e));
+      btree::BTreeNode(img).RemoveKey(e.key);
+      break;
+    }
+    default:  // kBtreeSetContent
+      btree::BTreeNode(img).RestoreContent(rec.after);
+      break;
+  }
+  header->page_lsn = std::max(header->page_lsn, end.value);
+  return Status::Ok();
+}
+
 }  // namespace
 
 StorageManager::StorageManager(StorageOptions options, io::Volume* volume,
@@ -672,185 +749,65 @@ Status StorageManager::UndoRecord(txn::Transaction* txn, TxnId txn_id,
 
 // ------------------------------------------------------------- recovery ----
 
-Status StorageManager::RedoRecord(const log::LogRecord& rec, Lsn end) {
-  return ApplyRedo(rec, end, /*force=*/false);
-}
-
 Status StorageManager::ApplyRedo(const log::LogRecord& rec, Lsn end,
                                  bool force) {
-  using log::LogRecordType;
-  switch (rec.type) {
-    case LogRecordType::kClr: {
-      // Re-apply the embedded inverse action.
-      log::LogRecord action;
-      action.type = static_cast<LogRecordType>(rec.page_type);
-      action.page = rec.page;
-      action.slot = rec.slot;
-      action.store = rec.store;
-      action.before = rec.before;
-      action.after = rec.after;
-      return ApplyRedo(action, end, force);
-    }
-    case LogRecordType::kPageFormat: {
-      SHOREMT_ASSIGN_OR_RETURN(PageHandle h, pool_->NewPage(rec.page));
-      // A format is the page's birth: a valid image whose LSN covers this
-      // record is already past it, force mode or not (re-Init would wipe
-      // later applies).
-      if (page::HeaderOf(h.data())->page_lsn >= end.value &&
-          page::PageLooksValid(h.data(), rec.page)) {
-        return Status::Ok();
-      }
-      auto type = static_cast<page::PageType>(rec.page_type);
-      if (type == page::PageType::kData) {
-        page::SlottedPage sp(h.data());
-        sp.Init(rec.page, rec.store, type);
-      } else {
-        btree::BTreeNode node(h.data());
-        node.Init(rec.page, rec.store,
-                  type == page::PageType::kBTreeLeaf ? 0 : 1);
-      }
-      h.MarkDirty(end, rec.lsn);
-      return Status::Ok();
-    }
-    case LogRecordType::kPageInsert:
-    case LogRecordType::kPageUpdate:
-    case LogRecordType::kPageDelete:
-    case LogRecordType::kBtreeInsert:
-    case LogRecordType::kBtreeDelete:
-    case LogRecordType::kBtreeSetContent: {
-      SHOREMT_ASSIGN_OR_RETURN(
-          PageHandle h, pool_->FixPage(rec.page, LatchMode::kExclusive));
-      uint64_t cur_lsn = page::HeaderOf(h.data())->page_lsn;
-      // Recovery replays in LSN order, so "page LSN covers end" means
-      // "already applied" — skip. Commit-gated replica replay applies in
-      // COMMIT order: a page's LSN can already be above an unapplied
-      // record's end, so force mode applies unconditionally (the
-      // dispatcher guarantees exactly-once per record) and the page LSN
-      // only ratchets upward.
-      if (!force && cur_lsn >= end.value) {
-        return Status::Ok();  // Change already on the page image.
-      }
-      // An unformatted or misdirected image here means the WAL invariants
-      // were violated upstream; surface it as corruption instead of
-      // letting a page-level apply write through garbage offsets.
-      if (page::HeaderOf(h.data())->magic != page::kPageMagic ||
-          page::HeaderOf(h.data())->page_num != rec.page) {
-        return Status::Corruption(
-            "redo hit an invalid image for page " + std::to_string(rec.page));
-      }
-      switch (rec.type) {
-        case LogRecordType::kPageInsert: {
-          page::SlottedPage sp(h.data());
-          SHOREMT_RETURN_NOT_OK(sp.InsertAt(rec.slot, rec.after));
-          break;
-        }
-        case LogRecordType::kPageUpdate: {
-          page::SlottedPage sp(h.data());
-          SHOREMT_RETURN_NOT_OK(sp.Update(rec.slot, rec.after));
-          break;
-        }
-        case LogRecordType::kPageDelete: {
-          page::SlottedPage sp(h.data());
-          SHOREMT_RETURN_NOT_OK(sp.Delete(rec.slot));
-          break;
-        }
-        case LogRecordType::kBtreeInsert: {
-          btree::BTreeNode node(h.data());
-          btree::BTreeEntry e;
-          std::memcpy(&e, rec.after.data(), sizeof(e));
-          node.InsertSorted(e.key, e.value);
-          break;
-        }
-        case LogRecordType::kBtreeDelete: {
-          btree::BTreeNode node(h.data());
-          btree::BTreeEntry e;
-          std::memcpy(&e, rec.before.data(), sizeof(e));
-          node.RemoveKey(e.key);
-          break;
-        }
-        case LogRecordType::kBtreeSetContent: {
-          btree::BTreeNode node(h.data());
-          node.RestoreContent(rec.after);
-          break;
-        }
-        default:
-          break;
-      }
-      h.MarkDirty(force ? Lsn{std::max(cur_lsn, end.value)} : end, rec.lsn);
-      return Status::Ok();
-    }
-    default:
-      return Status::Ok();  // Metadata handled during analysis.
+  log::LogRecordType action = PageActionOf(rec);
+  if (!IsPageAction(action)) return Status::Ok();  // Metadata: analysis.
+  bool format = action == log::LogRecordType::kPageFormat;
+  PageHandle h;
+  if (format) {
+    SHOREMT_ASSIGN_OR_RETURN(h, pool_->NewPage(rec.page));
+  } else {
+    SHOREMT_ASSIGN_OR_RETURN(h,
+                             pool_->FixPage(rec.page, LatchMode::kExclusive));
   }
+  // Recovery replays in LSN order, so "page LSN covers end" means
+  // "already applied" — skip. Commit-gated replica replay applies in
+  // COMMIT order: a page's LSN can already be above an unapplied record's
+  // end, so force mode applies unconditionally (the dispatcher guarantees
+  // exactly-once per record). A format is the page's birth: a valid image
+  // whose LSN covers it is already past it, force mode or not (re-Init
+  // would wipe later applies).
+  bool covered = page::HeaderOf(h.data())->page_lsn >= end.value;
+  if (format ? covered && page::PageLooksValid(h.data(), rec.page)
+             : covered && !force) {
+    return Status::Ok();
+  }
+  SHOREMT_RETURN_NOT_OK(RedoToImage(rec, end, h.data()));
+  h.MarkDirty(Lsn{page::HeaderOf(h.data())->page_lsn}, rec.lsn);
+  return Status::Ok();
 }
 
 Status StorageManager::RepairPage(PageNum page, uint8_t* img) {
-  // Reassemble the page's full history exactly the way PITR restore does:
-  // archived segments first (they carry the recycled prefix), live log
-  // bytes after. Stream offset 0 is LSN 1.
-  std::vector<uint8_t> stream;
-  uint64_t archive_end = 0;
+  // The page's full history: archived segments first (they carry the
+  // recycled prefix), live log bytes after. A damaged archived segment
+  // fails its manifest CRC here and the repair is refused — never rebuilt
+  // from bytes that cannot be trusted; with no archive, a recycled prefix
+  // fails in ReadFrom — the history is gone.
+  log::LogArchive archive;
   if (!options_.log.archive_dir.empty()) {
-    SHOREMT_ASSIGN_OR_RETURN(
-        log::LogArchive archive, log::LogArchive::Open(options_.log.archive_dir));
-    if (!archive.empty()) {
-      if (archive.base_offset() != 0) {
-        return Status::Corruption(
-            "archive starts at offset " +
-            std::to_string(archive.base_offset()) +
-            ", log prefix was recycled unarchived — page history incomplete");
-      }
-      // A damaged archived segment fails its manifest CRC here and the
-      // repair is refused — never rebuilt from bytes that cannot be
-      // trusted.
-      SHOREMT_RETURN_NOT_OK(archive.Read(0, archive.end_offset(), &stream));
-      archive_end = archive.end_offset();
-    }
+    SHOREMT_ASSIGN_OR_RETURN(archive,
+                             log::LogArchive::Open(options_.log.archive_dir));
   }
-  if (log_storage_->size() > archive_end) {
-    std::vector<uint8_t> live;
-    // ReadFrom rejects offsets below the reclamation horizon, which is
-    // exactly the no-archive-and-recycled case: the history is gone.
-    SHOREMT_RETURN_NOT_OK(log_storage_->ReadFrom(archive_end, &live));
-    stream.insert(stream.end(), live.begin(), live.end());
-  }
-  if (stream.empty()) {
-    return Status::Corruption("no repair source: empty archive and log");
-  }
+  std::vector<uint8_t> stream;
+  SHOREMT_RETURN_NOT_OK(archive.ReadHistory(log_storage_, &stream));
 
   // Replay every record that touches `page`, oldest first, into a zeroed
   // image. The final state is at least as new as any image write-back
   // could have produced (every change to an unfixed page is WAL-durable
   // before the page leaves the pool), so redo's page-LSN idempotence
-  // remains correct afterwards.
+  // remains correct afterwards. A damaged record anywhere in the stream
+  // fails the walk: a partial replay would hand back a stale image.
   std::memset(img, 0, kPageSize);
   bool touched = false;
-  uint64_t pos = 0;
-  while (pos + 4 <= stream.size()) {
-    uint32_t len;
-    std::memcpy(&len, stream.data() + pos, 4);
-    if (len < log::kLogRecordHeaderSize + log::kLogRecordCrcSize ||
-        pos + len > stream.size()) {
-      break;  // Torn tail (crash mid-append): history ends here.
-    }
-    log::LogRecord rec;
-    size_t consumed = 0;
-    Status ds = log::DeserializeLogRecord(
-        std::span<const uint8_t>(stream).subspan(pos), &rec, &consumed);
-    if (!ds.ok()) {
-      // A damaged record anywhere in the stream poisons everything after
-      // it — a partial replay would silently hand back a stale image.
-      return Status::Corruption(ds.message() + " at LSN " +
-                                std::to_string(pos + 1) + " during repair");
-    }
-    Lsn end{pos + 1 + len};
-    rec.lsn = Lsn{pos + 1};
-    if (rec.page == page) {
-      SHOREMT_RETURN_NOT_OK(RepairRedoToImage(rec, end, img));
-      touched = true;
-    }
-    pos += len;
-  }
+  SHOREMT_RETURN_NOT_OK(
+      log::WalkLogRecords(stream, 0,
+                          [&](log::LogRecord& rec, Lsn end) -> Status {
+                            if (rec.page != page) return Status::Ok();
+                            touched = true;
+                            return RedoToImage(rec, end, img);
+                          })
+          .status());
   if (!touched) {
     return Status::Corruption("no log record references page " +
                               std::to_string(page) + " — unrepairable");
@@ -868,90 +825,6 @@ Status StorageManager::RepairPage(PageNum page, uint8_t* img) {
                          options_.buffer.io.retry_max_backoff_ns};
   return io::RetryTransient(volume_, policy,
                             [&] { return volume_->WritePage(page, img); });
-}
-
-Status StorageManager::RepairRedoToImage(const log::LogRecord& rec, Lsn end,
-                                         uint8_t* img) {
-  using log::LogRecordType;
-  switch (rec.type) {
-    case LogRecordType::kClr: {
-      log::LogRecord action;
-      action.type = static_cast<LogRecordType>(rec.page_type);
-      action.page = rec.page;
-      action.slot = rec.slot;
-      action.store = rec.store;
-      action.before = rec.before;
-      action.after = rec.after;
-      return RepairRedoToImage(action, end, img);
-    }
-    case LogRecordType::kPageFormat: {
-      auto type = static_cast<page::PageType>(rec.page_type);
-      if (type == page::PageType::kData) {
-        page::SlottedPage sp(img);
-        sp.Init(rec.page, rec.store, type);
-      } else {
-        btree::BTreeNode node(img);
-        node.Init(rec.page, rec.store,
-                  type == page::PageType::kBTreeLeaf ? 0 : 1);
-      }
-      page::HeaderOf(img)->page_lsn = end.value;
-      return Status::Ok();
-    }
-    case LogRecordType::kPageInsert:
-    case LogRecordType::kPageUpdate:
-    case LogRecordType::kPageDelete:
-    case LogRecordType::kBtreeInsert:
-    case LogRecordType::kBtreeDelete:
-    case LogRecordType::kBtreeSetContent: {
-      if (page::HeaderOf(img)->magic != page::kPageMagic) {
-        return Status::Corruption(
-            "repair replay met an update before the format of page " +
-            std::to_string(rec.page));
-      }
-      switch (rec.type) {
-        case LogRecordType::kPageInsert: {
-          page::SlottedPage sp(img);
-          SHOREMT_RETURN_NOT_OK(sp.InsertAt(rec.slot, rec.after));
-          break;
-        }
-        case LogRecordType::kPageUpdate: {
-          page::SlottedPage sp(img);
-          SHOREMT_RETURN_NOT_OK(sp.Update(rec.slot, rec.after));
-          break;
-        }
-        case LogRecordType::kPageDelete: {
-          page::SlottedPage sp(img);
-          SHOREMT_RETURN_NOT_OK(sp.Delete(rec.slot));
-          break;
-        }
-        case LogRecordType::kBtreeInsert: {
-          btree::BTreeNode node(img);
-          btree::BTreeEntry e;
-          std::memcpy(&e, rec.after.data(), sizeof(e));
-          node.InsertSorted(e.key, e.value);
-          break;
-        }
-        case LogRecordType::kBtreeDelete: {
-          btree::BTreeNode node(img);
-          btree::BTreeEntry e;
-          std::memcpy(&e, rec.before.data(), sizeof(e));
-          node.RemoveKey(e.key);
-          break;
-        }
-        case LogRecordType::kBtreeSetContent: {
-          btree::BTreeNode node(img);
-          node.RestoreContent(rec.after);
-          break;
-        }
-        default:
-          break;
-      }
-      page::HeaderOf(img)->page_lsn = end.value;
-      return Status::Ok();
-    }
-    default:
-      return Status::Ok();  // Metadata records carry no page bytes.
-  }
 }
 
 void StorageManager::RaiseNextStore(StoreId store) {
@@ -1156,15 +1029,15 @@ Status StorageManager::Recover() {
       pool_->PrefetchPages(prefetch);
     }
     for (const auto& [rec, end] : pending) {
-      SHOREMT_RETURN_NOT_OK(RedoRecord(rec, end));
+      SHOREMT_RETURN_NOT_OK(ApplyRedo(rec, end, /*force=*/false));
     }
     pending.clear();
     return Status::Ok();
   };
   SHOREMT_RETURN_NOT_OK(log_->Scan(
-      [&](const log::LogRecord& rec, Lsn end) {
-        // LogRecord owns its payload vectors, so buffering copies is safe.
-        pending.emplace_back(rec, end);
+      [&](log::LogRecord& rec, Lsn end) {
+        // The walker hands over its scratch record: take its payloads.
+        pending.emplace_back(std::move(rec), end);
         if (pending.size() < std::max<size_t>(window, 1)) return Status::Ok();
         return flush_window();
       },

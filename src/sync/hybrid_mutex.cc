@@ -19,14 +19,15 @@ void HybridMutex::lock() {
       return;
     }
   }
-  // Slow path: mark the lock as having sleepers and park.
+  // Slow path: mark the lock as having sleepers and park. Every wakeup
+  // re-marks with exchange(2) instead of waiting for state 0: a spinner's
+  // try_lock may take the lock between unlock's notify and this thread
+  // running, and its 0 -> 1 CAS erases the sleepers mark — re-marking is
+  // what makes that spinner's unlock notify again. Acquiring in state 2
+  // (exchange returned 0) costs at most one spurious notify later.
   std::unique_lock<std::mutex> guard(os_mutex_);
-  for (;;) {
-    int prev = state_.exchange(2, std::memory_order_acquire);
-    if (prev == 0) break;  // We now hold it (in state 2).
-    cv_.wait(guard, [this] {
-      return state_.load(std::memory_order_relaxed) == 0;
-    });
+  while (state_.exchange(2, std::memory_order_acquire) != 0) {
+    cv_.wait(guard);
   }
   if (stats_ != nullptr) stats_->RecordAcquire(true, NowNanos() - start);
 }

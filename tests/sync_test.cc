@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -118,6 +120,54 @@ TEST(HybridMutexTest, ContendedSleepersWakeUp) {
   lock.unlock();
   for (auto& w : workers) w.join();
   EXPECT_EQ(entered.load(), kThreads);
+}
+
+// The lost-wakeup schedule: a waiter is parked, unlock() notifies it, and
+// before it runs a try_lock spinner (here the unlocking thread itself)
+// takes the lock with a 0 -> 1 CAS that erases the sleepers mark. The
+// woken waiter must re-mark the lock before sleeping again, or the
+// spinner's unlock sees no sleepers and the waiter never wakes. The wait
+// for the waiter is bounded so a regression fails instead of hanging.
+TEST(HybridMutexTest, SpinnerStealingTheWakeupDoesNotStrandTheWaiter) {
+  int stolen = 0;
+  for (int round = 0; round < 5; ++round) {
+    HybridMutex lock;
+    std::promise<void> acquired;
+    std::future<void> done = acquired.get_future();
+    lock.lock();
+    std::thread waiter([&] {
+      lock.lock();
+      acquired.set_value();
+      lock.unlock();
+    });
+    // Long past the waiter's spin budget: it is parked on the cv.
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    lock.unlock();          // Notifies the parked waiter...
+    if (lock.try_lock()) {  // ...and steals the lock first.
+      ++stolen;
+      // Hold it while the woken waiter runs and finds it taken.
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      lock.unlock();
+    }
+    if (done.wait_for(std::chrono::seconds(5)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << "waiter stranded after a stolen wakeup (round "
+                    << round << ")";
+      // Free it so it can be joined: a second parked waiter re-marks the
+      // lock, so the next unlock notifies again and each acquirer's
+      // unlock wakes the other.
+      lock.lock();
+      std::thread rescuer([&] {
+        lock.lock();
+        lock.unlock();
+      });
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      lock.unlock();
+      rescuer.join();
+    }
+    waiter.join();
+  }
+  EXPECT_GT(stolen, 0) << "the spinner never won the race it exists for";
 }
 
 TEST(McsLockTest, MutualExclusion) {

@@ -11,6 +11,10 @@
 #include "io/volume.h"
 #include "lock/lock_manager.h"
 #include "log/log_manager.h"
+#include "log/log_storage.h"
+#include "sm/options.h"
+#include "sm/session.h"
+#include "sm/storage_manager.h"
 #include "space/space_manager.h"
 #include "txn/txn_manager.h"
 
@@ -404,6 +408,65 @@ TEST(TxnManagerTest, CheckpointRecordsActiveTxns) {
   EXPECT_EQ(body.redo_lsn, redo_out);
   EXPECT_EQ(body.redo_lsn, *ck2);  // next_lsn at snapshot = this record.
   EXPECT_TRUE(body.active_txns.empty());
+}
+
+// ------------------------------------------------- split rollback ----
+
+/// Every key in [1, aborted) reads back and `aborted` does not.
+void ExpectCommittedKeys(sm::StorageManager* db, uint64_t aborted) {
+  auto s = db->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto t = s->OpenTable("t");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  for (uint64_t k = 1; k < aborted; ++k) {
+    EXPECT_TRUE(s->Read(*t, k).ok()) << "committed key " << k << " lost";
+  }
+  EXPECT_TRUE(s->Read(*t, aborted).status().IsNotFound());
+  ASSERT_TRUE(s->Commit().ok());
+}
+
+// Rolling back the transaction whose insert splits a non-root leaf (the
+// first split is the root's, the second a leaf under it) must not touch
+// committed rows: the separator that split publishes in the parent is
+// structure, not part of the transaction. Checked live and after a crash
+// and restart, whose redo replays the same split.
+TEST(BTreeSplitRollbackTest, AbortedLeafSplitKeepsCommittedKeys) {
+  io::MemVolume volume;
+  log::LogStorage wal;
+  const sm::StorageOptions opts =
+      sm::StorageOptions::ForStage(sm::Stage::kFinal);
+  uint64_t aborted = 0;
+  {
+    auto opened = sm::StorageManager::Open(opts, &volume, &wal);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto& db = *opened;
+    auto s = db->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto t = s->CreateTable("t");
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE(s->Commit().ok());
+    btree::BTree* index = db->index_of(*t);
+    const std::vector<uint8_t> row(8, 0x5A);
+    int splits_seen = 0;
+    for (uint64_t k = 1; aborted == 0; ++k) {
+      ASSERT_LT(k, 100'000u) << "no second split";
+      uint64_t before = index->stats().splits.load();
+      ASSERT_TRUE(s->Begin().ok());
+      ASSERT_TRUE(s->Insert(*t, k, row).ok());
+      if (index->stats().splits.load() != before && ++splits_seen == 2) {
+        ASSERT_TRUE(s->Abort().ok());
+        aborted = k;
+      } else {
+        ASSERT_TRUE(s->Commit().ok());
+      }
+    }
+    s.reset();
+    ExpectCommittedKeys(db.get(), aborted);
+    db->SimulateCrash();
+  }
+  auto reopened = sm::StorageManager::Open(opts, &volume, &wal);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectCommittedKeys(reopened->get(), aborted);
 }
 
 }  // namespace

@@ -252,6 +252,25 @@ TEST_F(TpccTest, NewOrderIdsAreDense) {
   ASSERT_TRUE(session->Commit().ok());
 }
 
+// With one session on one warehouse nothing can conflict, so every
+// transaction commits — provided every customer and item id drawn is one
+// the loader created (NURand already yields ids in [1, N]).
+TEST(TpccSoloTest, LoneTerminalNeverAborts) {
+  Harness h;
+  TpccConfig cfg;
+  cfg.warehouses = 1;
+  auto db = LoadTpcc(h.session.get(), cfg);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  int payment_aborts = 0;
+  int new_order_aborts = 0;
+  for (int i = 0; i < 2000; ++i) {
+    payment_aborts += RunPayment(h.session.get(), &*db, 1) ? 0 : 1;
+    new_order_aborts += RunNewOrder(h.session.get(), &*db, 1) ? 0 : 1;
+  }
+  EXPECT_EQ(payment_aborts, 0);
+  EXPECT_EQ(new_order_aborts, 0);
+}
+
 // ------------------------------------------------------ engine profiles ---
 
 simcore::SimResult RunProfile(const WorkloadModel& model, int threads,
