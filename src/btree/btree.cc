@@ -188,7 +188,7 @@ Result<PageHandle> BTree::NewNode(txn::Transaction* txn, uint16_t level,
   alloc.store = store_;
   SHOREMT_RETURN_NOT_OK(LogAndMark(txn, &out, std::move(alloc)));
   *page_out = page;
-  return std::move(out);
+  return out;
 }
 
 Status BTree::SplitRoot(txn::Transaction* txn, PageHandle* root_handle) {
@@ -205,7 +205,7 @@ Status BTree::SplitRoot(txn::Transaction* txn, PageHandle* root_handle) {
   // Clone the root into `left`, then split left → right.
   left.RestoreContent(root.SerializeContent());
   page::HeaderOf(left_h.data())->page_num = left_page;
-  uint64_t sep = left.SplitInto(&right);
+  uint64_t sep = left.SplitInto(&right, left.count() / 2);
   if (root.IsLeaf()) {
     page::HeaderOf(left_h.data())->next_page = right_page;
     page::HeaderOf(right_h.data())->prev_page = left_page;
@@ -234,6 +234,32 @@ Status BTree::SplitRoot(txn::Transaction* txn, PageHandle* root_handle) {
   return Status::Ok();
 }
 
+namespace {
+
+/// Where a full leaf splits for an insert of `key` at position p. An
+/// insert that continues an ascending stream splits at p, so the stream's
+/// side of the split keeps growing into a node it then fills to 100%:
+/// either the key lands past every entry (the right node starts empty and
+/// `key` itself becomes the separator), or it lands in the upper half
+/// just above its predecessor, with a gap to its successor over 1024×
+/// wider (the tail of one of several interleaved streams, such as TPC-C
+/// order lines per district). Anything else — random keys above all —
+/// splits at the midpoint, which keeps both halves room to grow.
+uint16_t LeafSplitPoint(const BTreeNode& leaf, uint64_t key) {
+  const uint16_t count = leaf.count();
+  const uint16_t p = leaf.LowerBound(key);
+  if (p == count) return p;
+  // p >= count/2 >= 1 for a full leaf; a duplicate `key` has no gap to
+  // its successor and falls through to the midpoint.
+  if (p >= count / 2 &&
+      key - leaf.entry(p - 1).key < (leaf.entry(p).key - key) / 1024) {
+    return p;
+  }
+  return count / 2;
+}
+
+}  // namespace
+
 Status BTree::SplitChild(txn::Transaction* txn, PageHandle* parent_handle,
                          PageHandle* child_handle, uint64_t key) {
   stats_.splits.fetch_add(1, std::memory_order_relaxed);
@@ -243,7 +269,12 @@ Status BTree::SplitChild(txn::Transaction* txn, PageHandle* parent_handle,
   SHOREMT_ASSIGN_OR_RETURN(PageHandle right_h, NewNode(txn, child.level(),
                                                        &right_page));
   BTreeNode right(right_h.data());
-  uint64_t sep = child.SplitInto(&right);
+  // Internal nodes split at the midpoint; a leaf may split at `key`'s
+  // insertion point (LeafSplitPoint). Splitting past the last entry
+  // leaves `right` empty, and `key` is the separator it starts from.
+  const uint16_t at =
+      child.IsLeaf() ? LeafSplitPoint(child, key) : child.count() / 2;
+  const uint64_t sep = at < child.count() ? child.SplitInto(&right, at) : key;
   PageNum child_page = page::HeaderOf(child_handle->data())->page_num;
   if (child.IsLeaf()) {
     // Chain: child -> right -> old successor.
@@ -299,7 +330,7 @@ Result<PageHandle> BTree::InsertUnlogged(uint64_t key, uint64_t value,
         return Status::AlreadyExists("duplicate key");
       }
       *leaf_page = page::HeaderOf(h.data())->page_num;
-      return std::move(h);
+      return h;
     }
     PageNum child_page = node.ChildFor(key);
     SHOREMT_ASSIGN_OR_RETURN(
@@ -326,7 +357,7 @@ Result<PageHandle> BTree::RemoveUnlogged(uint64_t key, uint64_t* removed,
       *removed = node.entry(i).value;
       node.RemoveKey(key);
       *leaf_page = page::HeaderOf(h.data())->page_num;
-      return std::move(h);
+      return h;
     }
     SHOREMT_ASSIGN_OR_RETURN(
         PageHandle child_h,

@@ -98,16 +98,14 @@ void BTreeNode::RestoreContent(std::span<const uint8_t> blob) {
                           : page::PageType::kBTreeInternal;
 }
 
-uint64_t BTreeNode::SplitInto(BTreeNode* right) {
-  uint16_t total = count();
-  uint16_t keep = total / 2;
-  uint16_t move = total - keep;
+uint64_t BTreeNode::SplitInto(BTreeNode* right, uint16_t at) {
+  uint16_t move = count() - at;
   NodeHeader* rh = right->node_header();
   rh->level = node_header()->level;
-  std::memcpy(right->entries(), entries() + keep, move * sizeof(BTreeEntry));
+  std::memcpy(right->entries(), entries() + at, move * sizeof(BTreeEntry));
   rh->count = move;
-  node_header()->count = keep;
-  std::memset(entries() + keep, 0, move * sizeof(BTreeEntry));
+  node_header()->count = at;
+  std::memset(entries() + at, 0, move * sizeof(BTreeEntry));
   if (level() > 0) {
     // Internal split: the first moved entry's key becomes the separator;
     // its child becomes the right node's leftmost pointer.

@@ -84,9 +84,11 @@ class BTreeNode {
   /// Restores a node payload produced by SerializeContent.
   void RestoreContent(std::span<const uint8_t> blob);
 
-  /// Moves the upper half of this node's entries into `right` (freshly
-  /// initialized, same level) and returns the first key of `right`.
-  uint64_t SplitInto(BTreeNode* right);
+  /// Moves entries [at, count) into `right` (freshly initialized, same
+  /// level; requires at < count) and returns the separator: for a leaf,
+  /// the first key of `right`; for an internal node, the first moved key,
+  /// whose child becomes `right`'s leftmost pointer.
+  uint64_t SplitInto(BTreeNode* right, uint16_t at);
 
  private:
   NodeHeader* node_header() {

@@ -1,6 +1,7 @@
 #include "log/log_storage.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <thread>
 
 #include "common/clock.h"
@@ -20,7 +22,28 @@ namespace shoremt::log {
 namespace {
 /// O_DIRECT alignment for archive segment files (logical-block bound).
 constexpr size_t kArchiveAlign = 4096;
+
+/// Segments smaller than this (tests' toy sizes) stay on the heap: a
+/// mapping each would round them up to a page and could exhaust the
+/// process's mapping limit.
+constexpr size_t kMinMappedSegment = 64 << 10;
 }  // namespace
+
+void* LogStorage::MapPages(size_t bytes) {
+  if (bytes < kMinMappedSegment) return ::operator new(bytes);
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void LogStorage::UnmapPages(void* p, size_t bytes) {
+  if (bytes < kMinMappedSegment) {
+    ::operator delete(p);
+  } else {
+    ::munmap(p, bytes);
+  }
+}
 
 /// Direct-I/O segment write: O_DIRECT file, one aligned bounce buffer
 /// padded to the block size, then ftruncate down to the exact byte

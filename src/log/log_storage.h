@@ -184,12 +184,31 @@ class LogStorage {
   }
 
  private:
+  /// Segment memory of 64 KiB and up comes straight from the OS
+  /// (anonymous mmap), so a recycled segment's pages are returned at once.
+  /// From malloc, a freed 1 MiB segment leaves a hole in the heap that
+  /// small allocations then split, and the next segment grows the heap
+  /// instead: under a fast load that churn, not the live log, set the
+  /// process's peak memory.
+  static void* MapPages(size_t bytes);
+  static void UnmapPages(void* p, size_t bytes);
+  template <class T>
+  struct OsPages {
+    using value_type = T;
+    OsPages() = default;
+    template <class U>
+    OsPages(const OsPages<U>&) {}
+    T* allocate(size_t n) { return static_cast<T*>(MapPages(n * sizeof(T))); }
+    void deallocate(T* p, size_t n) { UnmapPages(p, n * sizeof(T)); }
+    friend bool operator==(const OsPages&, const OsPages&) { return true; }
+  };
+
   /// One fixed-capacity chunk of the byte stream. `base` is the absolute
   /// offset of bytes[0]; capacity is frozen at allocation time.
   struct Segment {
     uint64_t base = 0;
     size_t capacity = 0;
-    std::vector<uint8_t> bytes;
+    std::vector<uint8_t, OsPages<uint8_t>> bytes;
   };
 
   /// Writes `seg` into the archive (file + manifest line). Caller holds

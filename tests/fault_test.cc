@@ -112,6 +112,64 @@ TEST(Crc32cTest, KnownVectorAndExtendChaining) {
   EXPECT_EQ(Crc32cExtend(0xDEADBEEF, digits, 0), 0xDEADBEEFu);
 }
 
+// Crc32cExtend dispatches to the SSE4.2 `crc32` instruction where the CPU
+// has it; the table loop is the fallback. Both must give the same value
+// for every length, alignment and chaining split, or volumes and logs
+// written under one would fail to verify under the other. (On a CPU
+// without SSE4.2 both names run the table loop and this holds trivially.)
+TEST(Crc32cTest, DispatchedPathMatchesPortableLoop) {
+  Rng rng(15);
+  std::vector<uint8_t> buf(kPageSize + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+
+  for (size_t n = 0; n <= 64; ++n) {
+    EXPECT_EQ(Crc32cExtend(0, buf.data(), n),
+              Crc32cExtendPortable(0, buf.data(), n))
+        << "length " << n;
+    EXPECT_EQ(Crc32cExtend(0x12345678u, buf.data(), n),
+              Crc32cExtendPortable(0x12345678u, buf.data(), n))
+        << "seeded, length " << n;
+  }
+  for (size_t off = 0; off < 8; ++off) {
+    EXPECT_EQ(Crc32c(buf.data() + off, kPageSize),
+              Crc32cExtendPortable(0, buf.data() + off, kPageSize))
+        << "8 KiB at offset " << off;
+    for (size_t n : {size_t{1}, size_t{7}, size_t{9}, size_t{63}}) {
+      EXPECT_EQ(Crc32c(buf.data() + off, n),
+                Crc32cExtendPortable(0, buf.data() + off, n))
+          << "length " << n << " at offset " << off;
+    }
+  }
+  constexpr size_t k4K = 4096;
+  const uint32_t whole = Crc32cExtendPortable(0, buf.data(), k4K);
+  for (size_t split = 0; split <= k4K; ++split) {
+    uint32_t chained = Crc32cExtend(Crc32cExtend(0, buf.data(), split),
+                                    buf.data() + split, k4K - split);
+    ASSERT_EQ(chained, whole) << "split at " << split;
+  }
+}
+
+TEST(Crc32cTest, PortableStampVerifiesUnderDispatchedPath) {
+  std::vector<uint8_t> img(kPageSize);
+  page::SlottedPage sp(img.data());
+  sp.Init(11, 3, page::PageType::kData);
+  std::vector<uint8_t> rec(200, 0xC3);
+  ASSERT_TRUE(sp.Insert(rec).ok());
+  // The page stamp, computed by the table loop alone: CRC over the image
+  // with the checksum word taken as zero.
+  constexpr size_t kOff = offsetof(page::PageHeader, checksum);
+  const uint8_t zeros[4] = {0, 0, 0, 0};
+  uint32_t crc = Crc32cExtendPortable(0, img.data(), kOff);
+  crc = Crc32cExtendPortable(crc, zeros, 4);
+  crc = Crc32cExtendPortable(crc, img.data() + kOff + 4,
+                             kPageSize - kOff - 4);
+  ASSERT_NE(crc, 0u);
+  page::HeaderOf(img.data())->checksum = crc;
+  EXPECT_TRUE(page::VerifyPageChecksum(img.data()));
+  img[kPageSize / 2] ^= 0x01;
+  EXPECT_FALSE(page::VerifyPageChecksum(img.data()));
+}
+
 TEST(PageChecksumTest, StampVerifyAndDetectBitFlip) {
   std::vector<uint8_t> img(kPageSize);
   page::SlottedPage sp(img.data());
