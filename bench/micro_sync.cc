@@ -6,13 +6,11 @@
 
 #include <mutex>
 
-#include "sync/clh_lock.h"
+#include "sync/hybrid_latch.h"
 #include "sync/hybrid_mutex.h"
 #include "sync/lockfree_stack.h"
 #include "sync/mcs_lock.h"
-#include "sync/rw_latch.h"
 #include "sync/spinlock.h"
-#include "sync/ticket_lock.h"
 
 namespace shoremt::sync {
 namespace {
@@ -30,8 +28,6 @@ void BM_Uncontended(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_Uncontended, TatasLock);
 BENCHMARK_TEMPLATE(BM_Uncontended, TtasLock);
-BENCHMARK_TEMPLATE(BM_Uncontended, TicketLock);
-BENCHMARK_TEMPLATE(BM_Uncontended, ClhLock);
 BENCHMARK_TEMPLATE(BM_Uncontended, HybridMutex);
 BENCHMARK_TEMPLATE(BM_Uncontended, std::mutex);
 
@@ -60,9 +56,6 @@ void BM_Contended(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_Contended, TatasLock)->Threads(4)->Iterations(50000);
 BENCHMARK_TEMPLATE(BM_Contended, TtasLock)->Threads(4)->Iterations(50000);
-// FIFO queue locks hand off in scheduler time on single-context hosts;
-// bound iterations so the suite stays fast everywhere.
-BENCHMARK_TEMPLATE(BM_Contended, ClhLock)->Threads(4)->Iterations(50000);
 BENCHMARK_TEMPLATE(BM_Contended, HybridMutex)->Threads(4)->Iterations(50000);
 BENCHMARK_TEMPLATE(BM_Contended, std::mutex)->Threads(4)->Iterations(50000);
 
@@ -80,26 +73,26 @@ BENCHMARK(BM_ContendedMcs)->Threads(4)->Iterations(50000);
 
 // ------------------------------------------------------------ latches ----
 
-void BM_RwLatchShared(benchmark::State& state) {
-  static RwLatch latch;
+void BM_HybridLatchShared(benchmark::State& state) {
+  static HybridLatch latch;
   for (auto _ : state) {
     latch.AcquireShared();
     benchmark::DoNotOptimize(&latch);
     latch.ReleaseShared();
   }
 }
-BENCHMARK(BM_RwLatchShared);
-BENCHMARK(BM_RwLatchShared)->Threads(4)->Iterations(50000);
+BENCHMARK(BM_HybridLatchShared);
+BENCHMARK(BM_HybridLatchShared)->Threads(4)->Iterations(50000);
 
-void BM_RwLatchExclusive(benchmark::State& state) {
-  static RwLatch latch;
+void BM_HybridLatchExclusive(benchmark::State& state) {
+  static HybridLatch latch;
   for (auto _ : state) {
     latch.AcquireExclusive();
     benchmark::DoNotOptimize(&latch);
     latch.ReleaseExclusive();
   }
 }
-BENCHMARK(BM_RwLatchExclusive);
+BENCHMARK(BM_HybridLatchExclusive);
 
 // ---------------------------------------------------- lock-free stack ----
 

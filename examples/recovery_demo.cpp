@@ -66,9 +66,8 @@ int main() {
     (void)loser->Begin();
     (void)loser->Insert(*table, 2, Row("never-committed"));
     (void)loser->Update(*table, 1, Row("tampered"));
-    // ... power fails mid-transaction: drop the handle without Abort so
-    // the in-flight updates die with the crash, not via rollback.
-    loser.release();  // NOLINT: deliberate leak, the "power cord" pull.
+    // ... power fails mid-transaction. Closing the session after the
+    // crash rolls nothing back: the in-flight updates die with the crash.
     db->SimulateCrash();
     std::printf("crashed with 1 committed txn and 1 in-flight txn\n\n");
   }
@@ -79,7 +78,7 @@ int main() {
               static_cast<unsigned long long>(wal.size()));
   log::LogManager reader(&wal, log::LogOptions{});
   int shown = 0;
-  (void)reader.Scan([&](const log::LogRecord& rec, Lsn end) {
+  (void)reader.Scan([&](const log::LogRecord& rec, Lsn) {
     std::printf("  lsn %6llu  txn %2llu  %-17s page %llu\n",
                 static_cast<unsigned long long>(rec.lsn.value),
                 static_cast<unsigned long long>(rec.txn),

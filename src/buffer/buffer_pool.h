@@ -23,7 +23,6 @@
 #include "io/volume.h"
 #include "sync/lockfree_stack.h"
 #include "sync/periodic_daemon.h"
-#include "sync/rw_latch.h"
 #include "sync/spinlock.h"
 #include "sync/sync_stats.h"
 

@@ -21,7 +21,7 @@ class GlobalChainedTable : public FrameTable {
  public:
   explicit GlobalChainedTable(size_t capacity) { map_.reserve(capacity); }
 
-  int FindOptimistic(PageNum page) const override {
+  int FindOptimistic(PageNum /*page*/) const override {
     // No meaningful lock-free path exists for this strategy; fall back to
     // the locked lookup semantics by returning "not found".
     return -1;
@@ -68,7 +68,7 @@ class PerBucketChainedTable : public FrameTable {
   explicit PerBucketChainedTable(size_t capacity)
       : mask_(std::bit_ceil(capacity * 2) - 1), buckets_(mask_ + 1) {}
 
-  int FindOptimistic(PageNum page) const override {
+  int FindOptimistic(PageNum /*page*/) const override {
     // Bucket chains may be rehoused concurrently; optimistic reads of a
     // std::vector are unsafe, so this strategy has no lock-free path.
     return -1;

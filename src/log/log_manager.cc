@@ -58,7 +58,7 @@ Result<Appended> LogManager::Append(const LogRecord& rec) {
   SerializeLogRecord(rec, &scratch);
   stats_.records.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes.fetch_add(scratch.size(), std::memory_order_relaxed);
-  return buffer_->Append(scratch, /*compensation=*/false);
+  return buffer_->Append(scratch);
 }
 
 Result<Appended> LogManager::AppendClr(const LogRecord& rec) {
@@ -67,7 +67,7 @@ Result<Appended> LogManager::AppendClr(const LogRecord& rec) {
   stats_.records.fetch_add(1, std::memory_order_relaxed);
   stats_.compensations.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes.fetch_add(scratch.size(), std::memory_order_relaxed);
-  return buffer_->Append(scratch, /*compensation=*/true);
+  return buffer_->Append(scratch);
 }
 
 Status LogManager::FlushTo(Lsn upto) {

@@ -16,8 +16,9 @@ constexpr size_t kHeaderSize = kLogRecordHeaderSize;
 
 template <typename T>
 void Put(std::vector<uint8_t>* out, T value) {
-  const auto* p = reinterpret_cast<const uint8_t*>(&value);
-  out->insert(out->end(), p, p + sizeof(T));
+  size_t at = out->size();
+  out->resize(at + sizeof(T));
+  std::memcpy(out->data() + at, &value, sizeof(T));
 }
 
 template <typename T>

@@ -31,17 +31,15 @@ size_t SlottedPage::ContiguousFree() const {
   return slots_bottom - header()->free_begin;
 }
 
-size_t SlottedPage::DeadBytes() const {
-  size_t dead = 0;
+size_t SlottedPage::FreeSpace() const {
+  // Everything but the slot directory and the live records' reservations:
+  // exactly what Compact() leaves contiguous.
+  size_t reserved = SlotCount() * sizeof(Slot);
   for (uint16_t i = 0; i < SlotCount(); ++i) {
     const Slot* s = SlotAt(i);
-    if (s->offset == 0) dead += s->length;
+    if (s->offset != 0) reserved += s->capacity;
   }
-  return dead;
-}
-
-size_t SlottedPage::FreeSpace() const {
-  return ContiguousFree() + DeadBytes();
+  return kPagePayload - reserved;
 }
 
 bool SlottedPage::Fits(size_t size) const {
@@ -88,21 +86,22 @@ Status SlottedPage::InsertAt(uint16_t slot, std::span<const uint8_t> payload) {
   size_t gap_slots = new_slot ? slot + 1 - h->slot_count : 0;
   size_t need = payload.size() + gap_slots * sizeof(Slot);
   if (ContiguousFree() < need) {
+    // Fail before compacting: Update's rollback restores a record's old
+    // offset, which stays valid only while nothing has moved.
     if (FreeSpace() < need) return Status::OutOfSpace("page full");
-    Compact();
-    if (ContiguousFree() < need) return Status::OutOfSpace("page full");
+    Compact();  // Leaves FreeSpace() contiguous.
   }
   if (new_slot) {
     for (uint16_t i = h->slot_count; i < slot; ++i) {
       Slot* gap = SlotAt(i);
-      gap->offset = 0;
-      gap->length = 0;
+      *gap = Slot{};
     }
     h->slot_count = slot + 1;
   }
   Slot* s = SlotAt(slot);
   s->offset = static_cast<uint16_t>(h->free_begin);
   s->length = static_cast<uint16_t>(payload.size());
+  s->capacity = s->length;
   if (!payload.empty()) {
     std::memcpy(data_ + h->free_begin, payload.data(), payload.size());
   }
@@ -121,22 +120,33 @@ Status SlottedPage::Update(uint16_t slot, std::span<const uint8_t> payload) {
   if (slot >= SlotCount()) return Status::NotFound("slot out of range");
   Slot* s = SlotAt(slot);
   if (s->offset == 0) return Status::NotFound("slot deleted");
-  if (payload.size() <= s->length) {
-    // Shrinking or equal: overwrite in place (leftover bytes become dead
-    // space accounted against the old length).
+  if (payload.size() <= s->capacity) {
+    // Fits the reservation: overwrite in place. A shrink keeps the whole
+    // capacity, so undoing it grows the record back right here.
     std::memcpy(data_ + s->offset, payload.data(), payload.size());
     s->length = static_cast<uint16_t>(payload.size());
     return Status::Ok();
   }
-  // Growing: tombstone, then re-insert into the same slot.
-  uint16_t old_offset = s->offset;
-  uint16_t old_length = s->length;
+  // Growing past the reservation: tombstone, then re-insert into the same
+  // slot.
+  Slot old = *s;
   s->offset = 0;
   Status st = InsertAt(slot, payload);
-  if (!st.ok()) {
-    s->offset = old_offset;  // Roll back the tombstone.
-    s->length = old_length;
-    return st;
+  if (!st.ok()) *s = old;  // Roll back the tombstone.
+  return st;
+}
+
+Status SlottedPage::Restore(uint16_t slot, std::span<const uint8_t> before) {
+  SHOREMT_ASSIGN_OR_RETURN(std::span<const uint8_t> current, Read(slot));
+  bool shrinks = before.size() < current.size();
+  SHOREMT_RETURN_NOT_OK(Update(slot, before));
+  if (shrinks) {
+    Slot* s = SlotAt(slot);
+    PageHeader* h = header();
+    if (static_cast<uint32_t>(s->offset) + s->capacity == h->free_begin) {
+      h->free_begin = s->offset + s->length;  // Top of the heap: LIFO.
+    }
+    s->capacity = s->length;
   }
   return Status::Ok();
 }
@@ -146,7 +156,7 @@ Status SlottedPage::Delete(uint16_t slot) {
   Slot* s = SlotAt(slot);
   if (s->offset == 0) return Status::NotFound("slot already deleted");
   PageHeader* h = header();
-  if (static_cast<uint32_t>(s->offset) + s->length == h->free_begin) {
+  if (static_cast<uint32_t>(s->offset) + s->capacity == h->free_begin) {
     // LIFO reclamation: the record sits at the top of the heap, so its
     // bytes return to the contiguous pool immediately. This makes undo's
     // delete-of-the-latest-insert a byte-exact reversal — without it, an
@@ -155,15 +165,12 @@ Status SlottedPage::Delete(uint16_t slot) {
     // with OutOfSpace (an abort must never fail for lack of space it
     // itself consumed).
     h->free_begin = s->offset;
-    s->length = 0;
   }
-  s->offset = 0;  // A surviving length measures reclaimable dead space.
-  // Trailing tombstones that carry no dead bytes release their directory
-  // entries too; InsertAt re-materializes gaps on demand, so slot numbers
-  // handed out earlier stay addressable.
-  while (h->slot_count > 0) {
-    Slot* last = SlotAt(h->slot_count - 1);
-    if (last->offset != 0 || last->length != 0) break;
+  *s = Slot{};
+  // Trailing tombstones release their directory entries too; InsertAt
+  // re-materializes gaps on demand, so slot numbers handed out earlier
+  // stay addressable.
+  while (h->slot_count > 0 && SlotAt(h->slot_count - 1)->offset == 0) {
     --h->slot_count;
   }
   return Status::Ok();
@@ -175,21 +182,17 @@ bool SlottedPage::IsLive(uint16_t slot) const {
 
 void SlottedPage::Compact() {
   PageHeader* h = header();
-  // Copy live records into a scratch heap in slot order, then rewrite.
+  // Copy each live record's reserved region into a scratch heap in slot
+  // order, then rewrite.
   std::vector<uint8_t> scratch;
   scratch.reserve(h->free_begin - sizeof(PageHeader));
-  std::vector<std::pair<uint16_t, uint16_t>> placed(SlotCount());  // off,len
+  std::vector<uint16_t> placed(SlotCount());
   for (uint16_t i = 0; i < SlotCount(); ++i) {
-    Slot* s = SlotAt(i);
-    if (s->offset == 0) {
-      placed[i] = {0, 0};
-      continue;
-    }
-    uint16_t new_off =
-        static_cast<uint16_t>(sizeof(PageHeader) + scratch.size());
+    const Slot* s = SlotAt(i);
+    if (s->offset == 0) continue;
+    placed[i] = static_cast<uint16_t>(sizeof(PageHeader) + scratch.size());
     scratch.insert(scratch.end(), data_ + s->offset,
-                   data_ + s->offset + s->length);
-    placed[i] = {new_off, s->length};
+                   data_ + s->offset + s->capacity);
   }
   if (!scratch.empty()) {
     std::memcpy(data_ + sizeof(PageHeader), scratch.data(), scratch.size());
@@ -197,10 +200,9 @@ void SlottedPage::Compact() {
   for (uint16_t i = 0; i < SlotCount(); ++i) {
     Slot* s = SlotAt(i);
     if (s->offset != 0) {
-      s->offset = placed[i].first;
-      s->length = placed[i].second;
+      s->offset = placed[i];
     } else {
-      s->length = 0;  // Dead space reclaimed.
+      *s = Slot{};
     }
   }
   h->free_begin = static_cast<uint32_t>(sizeof(PageHeader) + scratch.size());

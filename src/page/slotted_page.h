@@ -15,6 +15,11 @@ namespace shoremt::page {
 /// record tombstones its slot (slot numbers are stable so RecordIds stay
 /// valid); space is reclaimed by compaction when an insert needs it.
 ///
+/// Each live record keeps a capacity next to its length: an update that
+/// shrinks a record leaves its bytes reserved (compaction moves them with
+/// the record), so undoing the update grows it back in place and an abort
+/// can never fail for lack of space.
+///
 /// Not internally synchronized: callers hold the page latch.
 class SlottedPage {
  public:
@@ -47,8 +52,15 @@ class SlottedPage {
   Status InsertAt(uint16_t slot, std::span<const uint8_t> payload);
   /// Reads the record in `slot`.
   Result<std::span<const uint8_t>> Read(uint16_t slot) const;
-  /// Replaces the record in `slot`; may move it within the page.
+  /// Replaces the record in `slot`; may move it within the page. A
+  /// shrinking record keeps its capacity.
   Status Update(uint16_t slot, std::span<const uint8_t> payload);
+  /// Rolls `slot` back to its `before` image (undo, and redo of the
+  /// compensation record). Like Update, but rolling back a growth also
+  /// gives up the capacity the growth took: the transaction's earlier
+  /// changes to the page may need those bytes to roll back in turn (a
+  /// deleted row coming back, say).
+  Status Restore(uint16_t slot, std::span<const uint8_t> before);
   /// Tombstones `slot`.
   Status Delete(uint16_t slot);
   /// True if `slot` holds a live record.
@@ -65,8 +77,9 @@ class SlottedPage {
  private:
   /// Slot directory entry, stored from the end of the page downward.
   struct Slot {
-    uint16_t offset;  ///< Byte offset of the record; 0 = tombstone.
-    uint16_t length;  ///< Record length in bytes.
+    uint16_t offset;    ///< Byte offset of the record; 0 = tombstone.
+    uint16_t length;    ///< Record length in bytes.
+    uint16_t capacity;  ///< Bytes reserved at `offset` (>= length).
   };
 
   Slot* SlotAt(uint16_t index);
@@ -74,8 +87,6 @@ class SlottedPage {
   /// Contiguous free bytes between the record heap top and the slot
   /// directory bottom (without compaction).
   size_t ContiguousFree() const;
-  /// Sum of tombstoned record bytes (reclaimable by compaction).
-  size_t DeadBytes() const;
 
   uint8_t* data_;
 };

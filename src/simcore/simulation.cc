@@ -59,7 +59,7 @@ int Simulation::SpinnerCount(const LockState& l) const {
 }
 
 bool Simulation::TryGrant(LockState& l, ThreadCtx& t, SimMode mode,
-                          uint64_t now, bool contended_path) {
+                          bool contended_path) {
   const bool is_latch = l.spec.type == SimLockType::kRwLatch;
   // Unfair locks let newcomers barge past queued waiters: raw spinlocks,
   // and adaptive OS mutexes (a releasing pthread mutex is simply marked
@@ -162,7 +162,7 @@ void Simulation::GrantWaiters(LockState& l, uint64_t now) {
     }
     Waiter w = l.waiters[pick];
     ThreadCtx& t = threads_[w.thread];
-    if (!TryGrant(l, t, w.mode, now, /*contended_path=*/true)) return;
+    if (!TryGrant(l, t, w.mode, /*contended_path=*/true)) return;
     l.waiters.erase(l.waiters.begin() + static_cast<long>(pick));
     l.wait_ns += now - t.wait_started;
     t.waiting_on = -1;
@@ -202,7 +202,7 @@ void Simulation::AdvanceThread(ThreadCtx& t, uint64_t now) {
       case StepKind::kAcquire: {
         LockState& l = locks_[s.resource];
         ++l.acquires;
-        if (TryGrant(l, t, s.mode, now, /*contended_path=*/false)) continue;
+        if (TryGrant(l, t, s.mode, /*contended_path=*/false)) continue;
         ++l.contended;
         l.waiters.push_back({t.id, s.mode});
         t.waiting_on = s.resource;

@@ -151,10 +151,9 @@ class Simulation {
   /// Executes instantaneous steps for `t` until it starts consuming work,
   /// parks, spins, or finishes.
   void AdvanceThread(ThreadCtx& t, uint64_t now);
-  /// Attempts to grant `mode` on lock `l` to thread `t` at time `now`.
-  /// Returns true and charges handoff/acquire costs if granted.
-  bool TryGrant(LockState& l, ThreadCtx& t, SimMode mode, uint64_t now,
-                bool contended_path);
+  /// Attempts to grant `mode` on lock `l` to thread `t`. Returns true and
+  /// charges handoff/acquire costs if granted.
+  bool TryGrant(LockState& l, ThreadCtx& t, SimMode mode, bool contended_path);
   /// On release: hands the lock to the next compatible waiter(s).
   void GrantWaiters(LockState& l, uint64_t now);
   /// Recomputes the per-thread speeds from per-core consuming counts.

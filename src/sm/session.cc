@@ -27,8 +27,12 @@ Session::Session(StorageManager* sm, uint64_t seed) : sm_(sm), rng_(seed) {
 }
 
 Session::~Session() {
-  if (txn_ != nullptr) (void)Abort();
-  (void)WaitAll();  // Outstanding async commits acknowledge before close.
+  if (!sm_->crashed_) {
+    if (txn_ != nullptr) (void)Abort();
+    (void)WaitAll();  // Outstanding async commits acknowledge before close.
+  }
+  // After a crash the transaction object stays in the manager's active
+  // table and goes with it; restart rolls the transaction back.
   Harvest();
   if (obs::TlsWorkerCounters() == wc_) obs::TlsWorkerCounters() = nullptr;
   if (wc_ != nullptr) {
@@ -41,7 +45,7 @@ Session::~Session() {
 }
 
 void Session::Harvest() {
-  sm_->HarvestSessionStats(stats_);
+  sm_->session_stats_.Add(stats_);
   stats_ = SessionStats{};
 }
 
@@ -360,8 +364,7 @@ Status Cursor::SettleOnRow() {
     page::SlottedPage sp(h.data());
     auto rec = sp.Read(rid.slot);
     if (!rec.ok()) {
-      // Row deleted between the index probe and the heap read: skip it,
-      // as the callback Scan always did.
+      // Row deleted between the index probe and the heap read: skip it.
       SHOREMT_RETURN_NOT_OK(it_.Next());
       continue;
     }

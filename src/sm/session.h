@@ -31,9 +31,9 @@ class Session;
 /// Pull-style row cursor over one table's index, bound to the session's
 /// current transaction. Layered on btree::BTree::Iterator: the iterator
 /// yields (key, RecordId) with no latches held between rows, the cursor
-/// adds shared row locks and the heap read. Rows deleted between the index
-/// probe and the heap read are skipped, exactly as the old callback Scan
-/// did.
+/// adds shared row locks and the heap read. Rows deleted after the index
+/// probe are skipped: the cursor re-probes the index under the row lock,
+/// so a heap slot reused by another key never yields that key's row.
 ///
 ///   auto cur = session->OpenCursor(table);
 ///   for (auto st = cur.Seek(lo); cur.Valid() && cur.key() <= hi;
@@ -89,7 +89,9 @@ class Cursor {
 class Session {
  public:
   /// Aborts any open transaction, waits for outstanding commit
-  /// acknowledgments (WaitAll), then harvests.
+  /// acknowledgments (WaitAll), then harvests. After the manager's
+  /// SimulateCrash the open transaction dies with the crash instead: no
+  /// rollback, no wait, nothing more written to the abandoned log.
   ~Session();
 
   Session(const Session&) = delete;
@@ -140,9 +142,6 @@ class Session {
   /// Aborts the open transaction, rolling back through the WAL chain.
   Status Abort();
   bool InTransaction() const { return txn_ != nullptr; }
-  /// The open transaction (nullptr outside one) — interop hook for code
-  /// still on the deprecated facade.
-  txn::Transaction* txn() { return txn_; }
 
   // --- catalog ------------------------------------------------------------
 

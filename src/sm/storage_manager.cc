@@ -25,8 +25,9 @@ namespace {
 void SerializeTableInfo(const TableInfo& info, std::vector<uint8_t>* out) {
   out->clear();
   auto put = [&](const void* p, size_t n) {
-    const auto* b = static_cast<const uint8_t*>(p);
-    out->insert(out->end(), b, b + n);
+    size_t at = out->size();
+    out->resize(at + n);
+    std::memcpy(out->data() + at, p, n);
   };
   uint32_t len = static_cast<uint32_t>(info.name.size());
   put(&len, 4);
@@ -102,7 +103,10 @@ Status RedoToImage(const log::LogRecord& rec, Lsn end, uint8_t* img) {
           page::SlottedPage(img).InsertAt(rec.slot, rec.after));
       break;
     case LogRecordType::kPageUpdate:
-      SHOREMT_RETURN_NOT_OK(page::SlottedPage(img).Update(rec.slot, rec.after));
+      SHOREMT_RETURN_NOT_OK(
+          rec.type == LogRecordType::kClr
+              ? page::SlottedPage(img).Restore(rec.slot, rec.after)
+              : page::SlottedPage(img).Update(rec.slot, rec.after));
       break;
     case LogRecordType::kPageDelete:
       SHOREMT_RETURN_NOT_OK(page::SlottedPage(img).Delete(rec.slot));
@@ -366,18 +370,15 @@ Result<TableInfo> StorageManager::CreateTableReserved(
   return info;
 }
 
-Result<TableInfo> StorageManager::OpenTable(const std::string& name) const {
-  std::lock_guard<std::mutex> guard(catalog_mutex_);
-  auto it = catalog_.find(name);
-  if (it == catalog_.end()) return Status::NotFound("no table " + name);
-  return it->second;
-}
-
 Result<TableInfo> StorageManager::OpenTable(txn::Transaction* txn,
                                             const std::string& name) {
-  SHOREMT_ASSIGN_OR_RETURN(
-      TableInfo info,
-      static_cast<const StorageManager*>(this)->OpenTable(name));
+  TableInfo info;
+  {
+    std::lock_guard<std::mutex> guard(catalog_mutex_);
+    auto it = catalog_.find(name);
+    if (it == catalog_.end()) return Status::NotFound("no table " + name);
+    info = it->second;
+  }
   // Shared store lock: if the creating transaction still holds its X
   // locks, we wait here until the DDL commits (or time out if it never
   // does) rather than touch a half-built table.
@@ -485,14 +486,6 @@ Status StorageManager::ReadInto(txn::Transaction* txn, const TableInfo& table,
   return Status::Ok();
 }
 
-Result<std::vector<uint8_t>> StorageManager::Read(txn::Transaction* txn,
-                                                  const TableInfo& table,
-                                                  uint64_t key) {
-  std::vector<uint8_t> row;
-  SHOREMT_RETURN_NOT_OK(ReadInto(txn, table, key, &row));
-  return row;
-}
-
 Status StorageManager::Update(txn::Transaction* txn, const TableInfo& table,
                               uint64_t key,
                               std::span<const uint8_t> payload) {
@@ -547,31 +540,6 @@ Status StorageManager::Delete(txn::Transaction* txn, const TableInfo& table,
     h.MarkDirty(a.end, a.lsn);
   }
   return index->Remove(txn, key);
-}
-
-Status StorageManager::Scan(
-    txn::Transaction* txn, const TableInfo& table, uint64_t lo, uint64_t hi,
-    const std::function<bool(uint64_t, std::span<const uint8_t>)>& fn) {
-  btree::BTree* index = index_of(table);
-  if (index == nullptr) return Status::NotFound("unknown table");
-  // Collect matches first: row locks must not be acquired while holding
-  // leaf latches (latch-lock deadlock).
-  std::vector<std::pair<uint64_t, RecordId>> matches;
-  SHOREMT_RETURN_NOT_OK(index->Scan(lo, hi, [&](uint64_t key, RecordId rid) {
-    matches.emplace_back(key, rid);
-    return true;
-  }));
-  for (const auto& [key, rid] : matches) {
-    SHOREMT_RETURN_NOT_OK(
-        txn->locks.LockRecord(table.heap_store, rid, lock::LockMode::kS));
-    SHOREMT_ASSIGN_OR_RETURN(PageHandle h,
-                             pool_->FixPage(rid.page, LatchMode::kShared));
-    page::SlottedPage sp(h.data());
-    auto rec = sp.Read(rid.slot);
-    if (!rec.ok()) continue;  // Deleted between index scan and read.
-    if (!fn(key, *rec)) return Status::Ok();
-  }
-  return Status::Ok();
 }
 
 Result<Lsn> StorageManager::Checkpoint() {
@@ -677,7 +645,7 @@ Status StorageManager::UndoRecord(txn::Transaction* txn, TxnId txn_id,
         SHOREMT_ASSIGN_OR_RETURN(
             handle, pool_->FixPage(rec.page, LatchMode::kExclusive));
         page::SlottedPage sp(handle.data());
-        SHOREMT_RETURN_NOT_OK(sp.Update(rec.slot, rec.before));
+        SHOREMT_RETURN_NOT_OK(sp.Restore(rec.slot, rec.before));
       }
       clr.page = rec.page;
       clr.slot = rec.slot;

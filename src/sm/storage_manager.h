@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -45,8 +44,10 @@ struct TableInfo {
 /// Owns every subsystem: buffer pool, log, locks, transactions, free
 /// space, B+Tree indexes.
 ///
-/// Worker threads talk to the engine through an sm::Session (sm/session.h),
-/// which owns all per-thread state — RNG, read buffer, statistics:
+/// Transactions and DML run only through an sm::Session (sm/session.h),
+/// the per-worker-thread handle that owns all per-thread state — RNG,
+/// read buffer, statistics — so no shared state sits on the per-operation
+/// path:
 ///
 ///   auto sm = StorageManager::Open(StorageOptions::ForStage(Stage::kFinal),
 ///                                  &volume, &log_storage);
@@ -56,11 +57,9 @@ struct TableInfo {
 ///   session->Insert(*table, /*key=*/1, payload);
 ///   session->Commit();
 ///
-/// The transaction-pointer facade below (Begin/Commit/Insert/... taking a
-/// txn::Transaction*) is DEPRECATED: it remains as a thin shim over the
-/// same internals for one release so existing callers can migrate
-/// incrementally, but new code should go through Session, whose shape
-/// keeps worker-thread state thread-private by construction.
+/// The manager itself exposes the lifecycle (Open, Checkpoint, Shutdown,
+/// SimulateCrash), replicated replay, and its components for benches and
+/// tests.
 class StorageManager {
  public:
   /// Opens a storage manager over `volume` + `log_storage` (both owned by
@@ -78,8 +77,8 @@ class StorageManager {
 
   // --- sessions -----------------------------------------------------------
 
-  /// Opens a session — the per-worker-thread handle all new code uses for
-  /// transactions and DML. Each worker thread opens exactly one; the
+  /// Opens a session — the per-worker-thread handle, and the only way to
+  /// run transactions and DML. Each worker thread opens exactly one; the
   /// session must not outlive the manager. Destroying (or Harvest()ing)
   /// the session folds its statistics into harvested_session_stats().
   std::unique_ptr<Session> OpenSession();
@@ -89,8 +88,6 @@ class StorageManager {
   SessionStats harvested_session_stats() const {
     return session_stats_.Snapshot();
   }
-  /// Internal: sessions fold their local counters in through this.
-  void HarvestSessionStats(const SessionStats& s) { session_stats_.Add(s); }
 
   // --- live metrics --------------------------------------------------------
 
@@ -100,50 +97,6 @@ class StorageManager {
   /// a per-second CSV/JSON feed. Unlike harvested_session_stats(), its
   /// Snapshot() is live — no Harvest needed.
   obs::MetricsRegistry* metrics() { return &metrics_; }
-
-  // --- transactions (DEPRECATED shims — use Session) ----------------------
-
-  txn::Transaction* Begin() { return txns_->Begin(); }
-  Status Commit(txn::Transaction* txn) { return txns_->Commit(txn); }
-  Status Abort(txn::Transaction* txn) { return txns_->Abort(txn); }
-
-  // --- DDL ----------------------------------------------------------------
-
-  /// Creates a table (heap + index) holding exclusive store locks until
-  /// `txn` ends, so concurrent OpenTable(txn, ...) callers cannot observe
-  /// the table half-created. The catalog entry is logged and survives
-  /// recovery. DDL is not undone on abort (structure records are
-  /// redo-only, as in the original system): if `txn` aborts, the table
-  /// remains — whole and empty — and keeps its name.
-  Result<TableInfo> CreateTable(txn::Transaction* txn,
-                                const std::string& name);
-  /// Looks up a table by name under `txn`, taking a shared store lock: a
-  /// lookup racing in-flight DDL blocks until the DDL commits or aborts.
-  Result<TableInfo> OpenTable(txn::Transaction* txn, const std::string& name);
-  /// DEPRECATED: lock-free catalog peek. Can observe a table whose
-  /// creating transaction has not committed; use the transactional
-  /// overload (or Session::OpenTable).
-  Result<TableInfo> OpenTable(const std::string& name) const;
-
-  // --- DML (key → row payload; DEPRECATED shims — use Session) ------------
-
-  /// Inserts a row; locks the new row exclusively; indexes `key`.
-  Result<RecordId> Insert(txn::Transaction* txn, const TableInfo& table,
-                          uint64_t key, std::span<const uint8_t> payload);
-  /// Reads the row for `key` under a shared row lock.
-  Result<std::vector<uint8_t>> Read(txn::Transaction* txn,
-                                    const TableInfo& table, uint64_t key);
-  /// Replaces the row payload for `key` under an exclusive row lock.
-  Status Update(txn::Transaction* txn, const TableInfo& table, uint64_t key,
-                std::span<const uint8_t> payload);
-  /// Deletes the row for `key` (heap + index) under an exclusive lock.
-  Status Delete(txn::Transaction* txn, const TableInfo& table, uint64_t key);
-  /// DEPRECATED: callback scan of [lo, hi] taking shared row locks; `fn`
-  /// returns false to stop. New code iterates with sm::Cursor
-  /// (Session::OpenCursor), which pulls rows without inverting control.
-  Status Scan(txn::Transaction* txn, const TableInfo& table, uint64_t lo,
-              uint64_t hi,
-              const std::function<bool(uint64_t, std::span<const uint8_t>)>& fn);
 
   // --- maintenance ---------------------------------------------------------
 
@@ -164,7 +117,9 @@ class StorageManager {
   /// flush and the log pipeline abandons its final drain, so only
   /// WAL-durable state survives into the next Open — the hook recovery
   /// tests use to simulate power loss. Commits submitted through
-  /// CommitAsync but not yet acknowledged are deliberately lost. The
+  /// CommitAsync but not yet acknowledged are deliberately lost, and a
+  /// session closed afterwards drops its open transaction without rollback
+  /// (restart undoes it, as for any loser). The
   /// background checkpoint daemon is stopped first (a checkpoint racing
   /// the teardown would be writing into an abandoned pipeline).
   void SimulateCrash() {
@@ -198,7 +153,6 @@ class StorageManager {
   buffer::BufferPool* pool() { return pool_.get(); }
   log::LogManager* log() { return log_.get(); }
   lock::LockManager* locks() { return locks_.get(); }
-  txn::TxnManager* txns() { return txns_.get(); }
   space::SpaceManager* space() { return space_.get(); }
   btree::BTree* index_of(const TableInfo& table);
   const StorageOptions& options() const { return options_; }
@@ -214,10 +168,31 @@ class StorageManager {
   /// redo/undo passes.
   void StartCheckpointDaemon();
 
-  /// Reads the row for `key` into `out` (reused across calls by sessions)
-  /// under a shared row lock. Backs both Read overload styles.
+  // --- DDL and DML under a transaction (reached through Session) ---------
+
+  /// Creates a table (heap + index) holding exclusive store locks until
+  /// `txn` ends, so a concurrent OpenTable cannot observe the table
+  /// half-created. The catalog entry is logged and survives recovery. DDL
+  /// is not undone on abort (structure records are redo-only, as in the
+  /// original system): if `txn` aborts, the table remains — whole and
+  /// empty — and keeps its name.
+  Result<TableInfo> CreateTable(txn::Transaction* txn,
+                                const std::string& name);
+  /// Looks up a table by name under `txn`, taking a shared store lock: a
+  /// lookup racing in-flight DDL blocks until the DDL commits or aborts.
+  Result<TableInfo> OpenTable(txn::Transaction* txn, const std::string& name);
+  /// Inserts a row; locks the new row exclusively; indexes `key`.
+  Result<RecordId> Insert(txn::Transaction* txn, const TableInfo& table,
+                          uint64_t key, std::span<const uint8_t> payload);
+  /// Reads the row for `key` into `out` (the session's reused buffer)
+  /// under a shared row lock.
   Status ReadInto(txn::Transaction* txn, const TableInfo& table, uint64_t key,
                   std::vector<uint8_t>* out);
+  /// Replaces the row payload for `key` under an exclusive row lock.
+  Status Update(txn::Transaction* txn, const TableInfo& table, uint64_t key,
+                std::span<const uint8_t> payload);
+  /// Deletes the row for `key` (heap + index) under an exclusive lock.
+  Status Delete(txn::Transaction* txn, const TableInfo& table, uint64_t key);
 
   /// CreateTable body after the name has been reserved in `creating_`.
   Result<TableInfo> CreateTableReserved(txn::Transaction* txn,
@@ -291,7 +266,7 @@ class StorageManager {
   std::unique_ptr<lock::LockManager> locks_;
   std::unique_ptr<txn::TxnManager> txns_;
 
-  mutable std::mutex catalog_mutex_;
+  std::mutex catalog_mutex_;
   std::unordered_map<std::string, TableInfo> catalog_;
   /// Names with an in-flight CreateTable (uniqueness holds across the
   /// gap between the check and RegisterTable).
@@ -301,7 +276,7 @@ class StorageManager {
   std::atomic<uint64_t> session_seq_{1};  ///< Per-session RNG seed stream.
   SessionStatsAggregate session_stats_;
   obs::MetricsRegistry metrics_;
-  bool crashed_ = false;
+  std::atomic<bool> crashed_{false};
 
   /// Serializes Checkpoint() end to end (snapshot → record → recycle):
   /// overlapping checkpoints could append their records out of snapshot

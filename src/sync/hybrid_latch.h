@@ -5,9 +5,14 @@
 #include <cstdint>
 
 #include "sync/backoff.h"
-#include "sync/rw_latch.h"  // LatchMode
 
 namespace shoremt::sync {
+
+/// Access mode for a blocking latch acquisition.
+enum class LatchMode : uint8_t {
+  kShared,     ///< Multiple readers may hold the latch together.
+  kExclusive,  ///< Single writer; excludes all other holders.
+};
 
 /// Annotates functions that deliberately read shared memory without
 /// synchronization under the optimistic-validation protocol: the reader
@@ -83,7 +88,7 @@ class HybridLatch {
     return word_.load(std::memory_order_acquire) & kVersionMask;
   }
 
-  // --- blocking guards (RwLatch-compatible surface) ------------------------
+  // --- blocking guards ------------------------------------------------------
 
   void Acquire(LatchMode mode) {
     Backoff backoff;

@@ -836,10 +836,11 @@ void RunCrashCycle(uint64_t seed) {
     auto opened = sm::StorageManager::Open(opts, &volume, &wal);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     auto& db = *opened;
-    auto* ddl = db->Begin();
-    auto table = db->CreateTable(ddl, "t");
+    auto s = db->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
-    ASSERT_TRUE(db->Commit(ddl).ok());
+    ASSERT_TRUE(s->Commit().ok());
 
     static const char* kPoints[] = {"log.append", "volume.write",
                                     "volume.read"};
@@ -848,7 +849,7 @@ void RunCrashCycle(uint64_t seed) {
     int total_txns = 10 + static_cast<int>(rng.Uniform(15));
     for (int i = 0; i < total_txns && !inj.crashed(); ++i) {
       if (i % 4 == 3) (void)db->pool()->CleanerPass(16);  // drives writes
-      auto* txn = db->Begin();
+      ASSERT_TRUE(s->Begin().ok());
       std::map<uint64_t, std::vector<uint8_t>> delta = committed;
       int ops = 1 + static_cast<int>(rng.Uniform(6));
       bool ok = true;
@@ -857,20 +858,20 @@ void RunCrashCycle(uint64_t seed) {
         if (rng.Bernoulli(0.7)) {
           std::vector<uint8_t> payload(8 + rng.Uniform(90));
           for (auto& b : payload) b = static_cast<uint8_t>(rng.Next());
-          ok = (delta.contains(key)
-                    ? db->Update(txn, *table, key, payload)
-                    : db->Insert(txn, *table, key, payload).status())
+          ok = (delta.contains(key) ? s->Update(*table, key, payload)
+                                    : s->Insert(*table, key, payload).status())
                    .ok();
           if (ok) delta[key] = payload;
         } else if (delta.contains(key)) {
-          ok = db->Delete(txn, *table, key).ok();
+          ok = s->Delete(*table, key).ok();
           if (ok) delta.erase(key);
         }
       }
       if (!ok || rng.Bernoulli(0.2)) {
-        (void)db->Abort(txn);  // may itself fail once the device is dead
-        if (!ok) break;
-      } else if (db->Commit(txn).ok()) {
+        // The abort may itself fail once the device is dead; the crash
+        // then ends the schedule with the transaction in flight.
+        if (!s->Abort().ok() || !ok) break;
+      } else if (s->Commit().ok()) {
         committed = std::move(delta);
       } else {
         break;  // commit lost to the crash: delta is NOT merged
@@ -886,12 +887,12 @@ void RunCrashCycle(uint64_t seed) {
   auto reopened = sm::StorageManager::Open(opts, &volume, &wal);
   ASSERT_TRUE(reopened.ok())
       << "seed " << seed << ": " << reopened.status().ToString();
-  auto& db = *reopened;
-  auto table = db->OpenTable("t");
+  auto s = (*reopened)->OpenSession();
+  auto table = s->OpenTable("t");
   ASSERT_TRUE(table.ok());
-  auto* check = db->Begin();
+  ASSERT_TRUE(s->Begin().ok());
   for (const auto& [key, payload] : committed) {
-    auto read = db->Read(check, *table, key);
+    auto read = s->Read(*table, key);
     ASSERT_TRUE(read.ok())
         << "lost committed key " << key << " (seed " << seed << ")";
     EXPECT_TRUE(std::equal(read->begin(), read->end(), payload.begin(),
@@ -899,22 +900,20 @@ void RunCrashCycle(uint64_t seed) {
         << "corrupt committed key " << key << " (seed " << seed << ")";
   }
   uint64_t rows = 0;
-  ASSERT_TRUE(db->Scan(check, *table, 0, UINT64_MAX,
-                       [&](uint64_t key, std::span<const uint8_t>) {
-                         EXPECT_TRUE(committed.contains(key))
-                             << "leaked key " << key << " (seed " << seed
-                             << ")";
-                         ++rows;
-                         return true;
-                       })
-                  .ok());
+  auto cur = s->OpenCursor(*table);
+  for (auto st = cur.Seek(0); cur.Valid(); st = cur.Next()) {
+    ASSERT_TRUE(st.ok());
+    EXPECT_TRUE(committed.contains(cur.key()))
+        << "leaked key " << cur.key() << " (seed " << seed << ")";
+    ++rows;
+  }
   EXPECT_EQ(rows, committed.size()) << "seed " << seed;
-  ASSERT_TRUE(db->Commit(check).ok());
+  ASSERT_TRUE(s->Commit().ok());
 
   // And the recovered engine still takes writes.
-  auto* writer = db->Begin();
-  ASSERT_TRUE(db->Insert(writer, *table, 777777, Row(7)).ok());
-  ASSERT_TRUE(db->Commit(writer).ok());
+  ASSERT_TRUE(s->Begin().ok());
+  ASSERT_TRUE(s->Insert(*table, 777777, Row(7)).ok());
+  ASSERT_TRUE(s->Commit().ok());
 }
 
 class CrashPointSweep : public ::testing::TestWithParam<uint64_t> {};
@@ -949,22 +948,23 @@ TEST(SmFaultTest, TornLogTailAtCrashRecoversCommittedPrefix) {
   std::map<uint64_t, std::vector<uint8_t>> committed;
   {
     auto db = std::move(*sm::StorageManager::Open(opts, &volume, &wal));
-    auto* ddl = db->Begin();
-    auto table = db->CreateTable(ddl, "t");
+    auto s = db->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
-    ASSERT_TRUE(db->Commit(ddl).ok());
+    ASSERT_TRUE(s->Commit().ok());
 
     // The crash fires mid-append a few commits in and TEARS that append:
     // a byte prefix of the flush reaches the device, the classic torn
     // log tail the recovery scan must stop at (record CRC + length).
     inj.ArmCrashPoint("log.append", 4);
     for (uint64_t k = 0; k < 50; ++k) {
-      auto* txn = db->Begin();
-      if (!db->Insert(txn, *table, k, Row(k)).ok()) {
-        (void)db->Abort(txn);
+      ASSERT_TRUE(s->Begin().ok());
+      if (!s->Insert(*table, k, Row(k)).ok()) {
+        (void)s->Abort();
         break;
       }
-      if (!db->Commit(txn).ok()) break;
+      if (!s->Commit().ok()) break;
       committed[k] = Row(k);
     }
     EXPECT_TRUE(inj.crashed()) << "the armed crash point fired";
@@ -977,17 +977,17 @@ TEST(SmFaultTest, TornLogTailAtCrashRecoversCommittedPrefix) {
   inj.Reset();
   auto reopened = sm::StorageManager::Open(opts, &volume, &wal);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  auto& db = *reopened;
-  auto table = db->OpenTable("t");
+  auto s = (*reopened)->OpenSession();
+  auto table = s->OpenTable("t");
   ASSERT_TRUE(table.ok());
-  auto* check = db->Begin();
+  ASSERT_TRUE(s->Begin().ok());
   for (const auto& [key, payload] : committed) {
-    auto read = db->Read(check, *table, key);
+    auto read = s->Read(*table, key);
     ASSERT_TRUE(read.ok()) << "lost committed key " << key;
     EXPECT_TRUE(std::equal(read->begin(), read->end(), payload.begin(),
                            payload.end()));
   }
-  ASSERT_TRUE(db->Commit(check).ok());
+  ASSERT_TRUE(s->Commit().ok());
 }
 
 }  // namespace

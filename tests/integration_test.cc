@@ -8,6 +8,7 @@
 #include "io/volume.h"
 #include "log/log_storage.h"
 #include "sm/options.h"
+#include "sm/session.h"
 #include "sm/storage_manager.h"
 #include "workload/insert_workload.h"
 
@@ -16,6 +17,14 @@ namespace {
 
 std::vector<uint8_t> Row(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
+}
+
+/// `prefix` followed by the decimal `n`. Built by appending: with GCC 12,
+/// `"x" + std::to_string(n)` trips a false -Wrestrict report at -O3.
+std::string Numbered(const char* prefix, uint64_t n) {
+  std::string s(prefix);
+  s += std::to_string(n);
+  return s;
 }
 
 TEST(IntegrationTest, FileVolumeBackedDatabasePersists) {
@@ -27,14 +36,14 @@ TEST(IntegrationTest, FileVolumeBackedDatabasePersists) {
     ASSERT_TRUE(vol.ok());
     auto db = std::move(*StorageManager::Open(
         StorageOptions::ForStage(Stage::kFinal), vol->get(), &wal));
-    auto* txn = db->Begin();
-    auto table = db->CreateTable(txn, "t");
+    auto s = db->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
     for (uint64_t k = 0; k < 100; ++k) {
-      ASSERT_TRUE(
-          db->Insert(txn, *table, k, Row("disk" + std::to_string(k))).ok());
+      ASSERT_TRUE(s->Insert(*table, k, Row(Numbered("disk", k))).ok());
     }
-    ASSERT_TRUE(db->Commit(txn).ok());
+    ASSERT_TRUE(s->Commit().ok());
     ASSERT_TRUE(db->Shutdown().ok());  // Clean shutdown: pages on disk.
   }
   {
@@ -43,13 +52,14 @@ TEST(IntegrationTest, FileVolumeBackedDatabasePersists) {
     ASSERT_TRUE(vol.ok());
     auto db = std::move(*StorageManager::Open(
         StorageOptions::ForStage(Stage::kFinal), vol->get(), &wal));
-    auto table = db->OpenTable("t");
+    auto s = db->OpenSession();
+    auto table = s->OpenTable("t");
     ASSERT_TRUE(table.ok());
-    auto* check = db->Begin();
-    auto read = db->Read(check, *table, 57);
+    ASSERT_TRUE(s->Begin().ok());
+    auto read = s->Read(*table, 57);
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(std::string(read->begin(), read->end()), "disk57");
-    ASSERT_TRUE(db->Commit(check).ok());
+    ASSERT_TRUE(s->Commit().ok());
   }
   ::unlink(path.c_str());
 }
@@ -60,19 +70,30 @@ TEST(IntegrationTest, LockEscalationEndToEnd) {
   StorageOptions opts = StorageOptions::ForStage(Stage::kFinal);
   opts.lock.escalation_threshold = 50;
   auto db = std::move(*StorageManager::Open(opts, &volume, &wal));
-  auto* txn = db->Begin();
-  auto table = db->CreateTable(txn, "bulk");
+  auto s = db->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("bulk");
   ASSERT_TRUE(table.ok());
   for (uint64_t k = 0; k < 200; ++k) {
-    ASSERT_TRUE(db->Insert(txn, *table, k, Row("x")).ok());
+    ASSERT_TRUE(s->Insert(*table, k, Row("x")).ok());
   }
   EXPECT_GE(db->locks()->stats().escalations.load(), 1u)
       << "200 row locks past a threshold of 50 must escalate";
   // After escalation the store lock blocks other writers entirely.
-  ASSERT_TRUE(db->Commit(txn).ok());
-  auto* after = db->Begin();
-  EXPECT_TRUE(db->Read(after, *table, 199).ok());
-  ASSERT_TRUE(db->Commit(after).ok());
+  ASSERT_TRUE(s->Commit().ok());
+  ASSERT_TRUE(s->Begin().ok());
+  EXPECT_TRUE(s->Read(*table, 199).ok());
+  ASSERT_TRUE(s->Commit().ok());
+}
+
+/// The row worker `t` writes under key `k`: about 500 bytes, so four
+/// tables overflow a 16-frame pool and force dirty evictions mid-run.
+std::string TinyPoolRow(int t, uint64_t k) {
+  std::string row = Numbered("v", t);
+  row += '_';
+  row += std::to_string(k);
+  row.append(500, 'p');
+  return row;
 }
 
 TEST(IntegrationTest, TinyPoolDirtyEvictionKeepsConsistency) {
@@ -86,46 +107,42 @@ TEST(IntegrationTest, TinyPoolDirtyEvictionKeepsConsistency) {
   constexpr int kThreads = 4;
   constexpr uint64_t kRows = 150;
   std::vector<TableInfo> tables(kThreads);
+  auto s = db->OpenSession();
   for (int t = 0; t < kThreads; ++t) {
-    auto* txn = db->Begin();
-    auto table = db->CreateTable(txn, "t" + std::to_string(t));
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable(Numbered("t", t));
     ASSERT_TRUE(table.ok());
     tables[t] = *table;
-    ASSERT_TRUE(db->Commit(txn).ok());
+    ASSERT_TRUE(s->Commit().ok());
   }
   std::vector<std::thread> workers;
   std::atomic<int> failures{0};
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      auto* txn = db->Begin();
+      auto worker = db->OpenSession();
+      if (!worker->Begin().ok()) failures.fetch_add(1);
       for (uint64_t k = 0; k < kRows; ++k) {
-        // ~500-byte rows so 4 tables overflow the 16-frame pool and force
-        // dirty evictions mid-run.
-        std::string value = "v" + std::to_string(t) + "_" +
-                            std::to_string(k) + std::string(500, 'p');
-        if (!db->Insert(txn, tables[t], k, Row(value)).ok()) {
+        if (!worker->Insert(tables[t], k, Row(TinyPoolRow(t, k))).ok()) {
           failures.fetch_add(1);
         }
       }
-      if (!db->Commit(txn).ok()) failures.fetch_add(1);
+      if (!worker->Commit().ok()) failures.fetch_add(1);
     });
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(db->pool()->stats().dirty_writebacks.load(), 0u)
       << "a 16-frame pool must have evicted dirty pages";
-  auto* check = db->Begin();
+  ASSERT_TRUE(s->Begin().ok());
   Rng rng(5);
   for (int probe = 0; probe < 100; ++probe) {
     int t = static_cast<int>(rng.Uniform(kThreads));
     uint64_t k = rng.Uniform(kRows);
-    auto read = db->Read(check, tables[t], k);
+    auto read = s->Read(tables[t], k);
     ASSERT_TRUE(read.ok()) << "t" << t << " key " << k;
-    EXPECT_EQ(std::string(read->begin(), read->end()),
-              "v" + std::to_string(t) + "_" + std::to_string(k) +
-                  std::string(500, 'p'));
+    EXPECT_EQ(std::string(read->begin(), read->end()), TinyPoolRow(t, k));
   }
-  ASSERT_TRUE(db->Commit(check).ok());
+  ASSERT_TRUE(s->Commit().ok());
 }
 
 TEST(IntegrationTest, SlowVolumeStillCorrect) {
@@ -137,18 +154,19 @@ TEST(IntegrationTest, SlowVolumeStillCorrect) {
   StorageOptions opts = StorageOptions::ForStage(Stage::kFinal);
   opts.buffer.frame_count = 8;
   auto db = std::move(*StorageManager::Open(opts, &volume, &wal));
-  auto* txn = db->Begin();
-  auto table = db->CreateTable(txn, "slow");
+  auto s = db->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("slow");
   ASSERT_TRUE(table.ok());
   for (uint64_t k = 0; k < 150; ++k) {
-    ASSERT_TRUE(db->Insert(txn, *table, k, Row(std::string(600, 's'))).ok());
+    ASSERT_TRUE(s->Insert(*table, k, Row(std::string(600, 's'))).ok());
   }
-  ASSERT_TRUE(db->Commit(txn).ok());
-  auto* check = db->Begin();
+  ASSERT_TRUE(s->Commit().ok());
+  ASSERT_TRUE(s->Begin().ok());
   for (uint64_t k = 0; k < 150; ++k) {
-    ASSERT_TRUE(db->Read(check, *table, k).ok()) << k;
+    ASSERT_TRUE(s->Read(*table, k).ok()) << k;
   }
-  ASSERT_TRUE(db->Commit(check).ok());
+  ASSERT_TRUE(s->Commit().ok());
   EXPECT_GT(volume.stats().reads.load(), 0u);
 }
 
@@ -181,11 +199,12 @@ TEST(IntegrationTest, CheckpointShrinksRecoveryScanWindow) {
   log::LogStorage wal;
   auto db = std::move(*StorageManager::Open(
       StorageOptions::ForStage(Stage::kFinal), &volume, &wal));
-  auto* txn = db->Begin();
-  auto table = db->CreateTable(txn, "t");
+  auto s = db->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("t");
   ASSERT_TRUE(table.ok());
-  ASSERT_TRUE(db->Insert(txn, *table, 1, Row("x")).ok());
-  ASSERT_TRUE(db->Commit(txn).ok());
+  ASSERT_TRUE(s->Insert(*table, 1, Row("x")).ok());
+  ASSERT_TRUE(s->Commit().ok());
   auto ck = db->Checkpoint();
   ASSERT_TRUE(ck.ok());
   auto rec = db->log()->ReadRecord(*ck);

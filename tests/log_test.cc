@@ -125,7 +125,7 @@ TEST_P(LogBufferTest, AppendAssignsMonotonicLsns) {
   std::vector<uint8_t> rec(64, 0xaa);
   uint64_t prev_end = 1;
   for (int i = 0; i < 10; ++i) {
-    auto r = buf->Append(rec, false);
+    auto r = buf->Append(rec);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->lsn.value, prev_end);
     EXPECT_EQ(r->end.value, prev_end + 64);
@@ -137,7 +137,7 @@ TEST_P(LogBufferTest, AppendAssignsMonotonicLsns) {
 TEST_P(LogBufferTest, FlushMakesBytesDurable) {
   auto buf = Make();
   std::vector<uint8_t> rec(100, 0x5a);
-  auto r = buf->Append(rec, false);
+  auto r = buf->Append(rec);
   ASSERT_TRUE(r.ok());
   EXPECT_LT(buf->durable_lsn().value, r->end.value);
   ASSERT_TRUE(buf->FlushTo(r->end).ok());
@@ -151,7 +151,7 @@ TEST_P(LogBufferTest, WrapAroundSmallRing) {
   auto buf = Make(1024);
   for (int i = 0; i < 64; ++i) {
     std::vector<uint8_t> rec(100, static_cast<uint8_t>(i));
-    auto r = buf->Append(rec, false);
+    auto r = buf->Append(rec);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   ASSERT_TRUE(buf->FlushTo(buf->next_lsn()).ok());
@@ -167,7 +167,7 @@ TEST_P(LogBufferTest, WrapAroundSmallRing) {
 TEST_P(LogBufferTest, OversizeRecordRejected) {
   auto buf = Make(1024);
   std::vector<uint8_t> rec(2048, 0);
-  EXPECT_EQ(buf->Append(rec, false).status().code(),
+  EXPECT_EQ(buf->Append(rec).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -181,7 +181,7 @@ TEST_P(LogBufferTest, ConcurrentAppendersProduceDenseLog) {
     workers.emplace_back([&, t] {
       std::vector<uint8_t> rec(32, static_cast<uint8_t>(t));
       for (int i = 0; i < kPerThread; ++i) {
-        auto r = buf->Append(rec, false);
+        auto r = buf->Append(rec);
         ASSERT_TRUE(r.ok());
         lsns[t].push_back(r->lsn.value);
       }
@@ -376,7 +376,7 @@ TEST(LogBufferStressTest, ConsolidatedRingFullDrainsCompletedWatermark) {
         std::vector<uint8_t> rec(kRecord,
                                  static_cast<uint8_t>(1 + t));
         for (int i = 0; i < kPerThread; ++i) {
-          ASSERT_TRUE(buf->Append(rec, false).ok());
+          ASSERT_TRUE(buf->Append(rec).ok());
         }
       });
     }

@@ -315,7 +315,9 @@ TEST_P(LogRecordProperty, RandomByteCorruptionIsRejectedOrSane) {
     // Must either parse (length fields still consistent) or fail with
     // Corruption — never crash or over-read.
     Status st = DeserializeLogRecord(mutated, &back, &consumed);
-    if (st.ok()) EXPECT_LE(consumed, mutated.size());
+    if (st.ok()) {
+      EXPECT_LE(consumed, mutated.size());
+    }
   }
 }
 

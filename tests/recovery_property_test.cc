@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <map>
@@ -46,10 +47,11 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
         StorageManager::Open(StorageOptions::ForStage(stage), &volume, &wal);
     ASSERT_TRUE(opened.ok());
     auto& db = *opened;
-    auto* ddl = db->Begin();
-    auto table = db->CreateTable(ddl, "t");
+    auto s = db->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
-    ASSERT_TRUE(db->Commit(ddl).ok());
+    ASSERT_TRUE(s->Commit().ok());
 
     int total_txns = 30 + static_cast<int>(rng.Uniform(30));
     int crash_after = static_cast<int>(rng.Uniform(total_txns));
@@ -57,7 +59,7 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
       if (checkpoint_midway && i == crash_after / 2) {
         ASSERT_TRUE(db->Checkpoint().ok());
       }
-      auto* txn = db->Begin();
+      ASSERT_TRUE(s->Begin().ok());
       // Shadow of this transaction's effects.
       std::map<uint64_t, std::vector<uint8_t>> delta = committed;
       int ops = 1 + static_cast<int>(rng.Uniform(8));
@@ -69,18 +71,18 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
           std::vector<uint8_t> payload(8 + rng.Uniform(120));
           for (auto& b : payload) b = static_cast<uint8_t>(rng.Next());
           if (delta.contains(key)) {
-            ok = db->Update(txn, *table, key, payload).ok();
+            ok = s->Update(*table, key, payload).ok();
           } else {
-            ok = db->Insert(txn, *table, key, payload).ok();
+            ok = s->Insert(*table, key, payload).ok();
           }
           if (ok) delta[key] = payload;
         } else if (kind < 80) {
           if (delta.contains(key)) {
-            ok = db->Delete(txn, *table, key).ok();
+            ok = s->Delete(*table, key).ok();
             if (ok) delta.erase(key);
           }
         } else {
-          auto read = db->Read(txn, *table, key);
+          auto read = s->Read(*table, key);
           if (delta.contains(key)) {
             ok = read.ok() && std::equal(read->begin(), read->end(),
                                          delta[key].begin(),
@@ -91,19 +93,18 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
         }
       }
       if (!ok) {
-        ASSERT_TRUE(db->Abort(txn).ok());
+        ASSERT_TRUE(s->Abort().ok());
       } else if (rng.Bernoulli(0.25)) {
         // Deliberate rollback: delta discarded.
-        ASSERT_TRUE(db->Abort(txn).ok());
+        ASSERT_TRUE(s->Abort().ok());
       } else {
-        ASSERT_TRUE(db->Commit(txn).ok());
+        ASSERT_TRUE(s->Commit().ok());
         committed = std::move(delta);
       }
       if (i == crash_after) {
         // Leave one transaction in flight at the crash for extra spice.
-        auto* loser = db->Begin();
-        (void)db->Insert(loser, *table, 9999,
-                         std::vector<uint8_t>(16, 0xDE));
+        ASSERT_TRUE(s->Begin().ok());
+        (void)s->Insert(*table, 9999, std::vector<uint8_t>(16, 0xDE));
         break;
       }
     }
@@ -114,14 +115,14 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
   auto reopened =
       StorageManager::Open(StorageOptions::ForStage(stage), &volume, &wal);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  auto& db = *reopened;
-  auto table = db->OpenTable("t");
+  auto s = (*reopened)->OpenSession();
+  auto table = s->OpenTable("t");
   ASSERT_TRUE(table.ok());
 
-  auto* check = db->Begin();
+  ASSERT_TRUE(s->Begin().ok());
   // Every committed row present and intact.
   for (const auto& [key, payload] : committed) {
-    auto read = db->Read(check, *table, key);
+    auto read = s->Read(*table, key);
     ASSERT_TRUE(read.ok()) << "lost committed key " << key << " (seed "
                            << seed << ")";
     EXPECT_TRUE(std::equal(read->begin(), read->end(), payload.begin(),
@@ -130,23 +131,20 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
   }
   // No extra rows (uncommitted leaks), checked via full scan.
   uint64_t rows = 0;
-  ASSERT_TRUE(db->Scan(check, *table, 0, UINT64_MAX,
-                       [&](uint64_t key, std::span<const uint8_t>) {
-                         EXPECT_TRUE(committed.contains(key))
-                             << "leaked uncommitted key " << key << " (seed "
-                             << seed << ")";
-                         ++rows;
-                         return true;
-                       }).ok());
+  auto cur = s->OpenCursor(*table);
+  for (auto st = cur.Seek(0); cur.Valid(); st = cur.Next()) {
+    ASSERT_TRUE(st.ok());
+    EXPECT_TRUE(committed.contains(cur.key()))
+        << "leaked uncommitted key " << cur.key() << " (seed " << seed << ")";
+    ++rows;
+  }
   EXPECT_EQ(rows, committed.size());
-  ASSERT_TRUE(db->Commit(check).ok());
+  ASSERT_TRUE(s->Commit().ok());
 
   // And the recovered system remains fully usable.
-  auto* writer = db->Begin();
-  ASSERT_TRUE(db->Insert(writer, *table, 777777,
-                         std::vector<uint8_t>(8, 0x42))
-                  .ok());
-  ASSERT_TRUE(db->Commit(writer).ok());
+  ASSERT_TRUE(s->Begin().ok());
+  ASSERT_TRUE(s->Insert(*table, 777777, std::vector<uint8_t>(8, 0x42)).ok());
+  ASSERT_TRUE(s->Commit().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -174,37 +172,114 @@ TEST(RecoveryProperty2, DoubleCrashWithClrsIsStable) {
   {
     auto db = std::move(*StorageManager::Open(
         StorageOptions::ForStage(Stage::kFinal), &volume, &wal));
-    auto* ddl = db->Begin();
-    auto table = db->CreateTable(ddl, "t");
+    auto s = db->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
-    ASSERT_TRUE(db->Commit(ddl).ok());
-    auto* t1 = db->Begin();
-    ASSERT_TRUE(db->Insert(t1, *table, 1, payload).ok());
-    ASSERT_TRUE(db->Commit(t1).ok());
+    ASSERT_TRUE(s->Commit().ok());
+    ASSERT_TRUE(s->Begin().ok());
+    ASSERT_TRUE(s->Insert(*table, 1, payload).ok());
+    ASSERT_TRUE(s->Commit().ok());
     // Aborted txn → CLRs in the log.
-    auto* t2 = db->Begin();
-    ASSERT_TRUE(db->Update(t2, *table, 1, std::vector<uint8_t>(8, 1)).ok());
-    ASSERT_TRUE(db->Insert(t2, *table, 2, payload).ok());
-    ASSERT_TRUE(db->Abort(t2).ok());
+    ASSERT_TRUE(s->Begin().ok());
+    ASSERT_TRUE(s->Update(*table, 1, std::vector<uint8_t>(8, 1)).ok());
+    ASSERT_TRUE(s->Insert(*table, 2, payload).ok());
+    ASSERT_TRUE(s->Abort().ok());
     // In-flight txn at crash → restart undo writes more CLRs.
-    auto* t3 = db->Begin();
-    ASSERT_TRUE(db->Update(t3, *table, 1, std::vector<uint8_t>(8, 2)).ok());
+    ASSERT_TRUE(s->Begin().ok());
+    ASSERT_TRUE(s->Update(*table, 1, std::vector<uint8_t>(8, 2)).ok());
     db->SimulateCrash();
   }
   for (int round = 0; round < 3; ++round) {
     auto db = std::move(*StorageManager::Open(
         StorageOptions::ForStage(Stage::kFinal), &volume, &wal));
-    auto table = db->OpenTable("t");
+    auto s = db->OpenSession();
+    auto table = s->OpenTable("t");
     ASSERT_TRUE(table.ok());
-    auto* check = db->Begin();
-    auto read = db->Read(check, *table, 1);
+    ASSERT_TRUE(s->Begin().ok());
+    auto read = s->Read(*table, 1);
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read->size(), payload.size()) << "round " << round;
-    EXPECT_TRUE(db->Read(check, *table, 2).status().IsNotFound());
-    ASSERT_TRUE(db->Commit(check).ok());
+    EXPECT_TRUE(s->Read(*table, 2).status().IsNotFound());
+    ASSERT_TRUE(s->Commit().ok());
     db->SimulateCrash();  // Crash again immediately after recovery.
   }
 }
+
+/// An abort must never fail. Updates redraw a row's size on every write, so
+/// a transaction shrinks some rows in place and grows others on pages the
+/// load filled; rolling it back grows the shrunk rows back, which must fit
+/// in the bytes they held before. A forward update may fail for lack of
+/// space (rows never move off their page); the rollback after it may not.
+class AbortProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AbortProperty, VariableSizeUpdatesAlwaysRollBack) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  io::MemVolume volume;
+  log::LogStorage wal;
+  auto opened = StorageManager::Open(StorageOptions::ForStage(Stage::kFinal),
+                                     &volume, &wal);
+  ASSERT_TRUE(opened.ok());
+  auto s = (*opened)->OpenSession();
+  auto draw_row = [&] {
+    std::vector<uint8_t> row(8 + rng.Uniform(120));
+    for (auto& b : row) b = static_cast<uint8_t>(rng.Next());
+    return row;
+  };
+
+  constexpr uint64_t kKeys = 1500;
+  std::vector<std::vector<uint8_t>> committed(kKeys);
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("t");
+  ASSERT_TRUE(table.ok());
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    committed[k] = draw_row();
+    ASSERT_TRUE(s->Insert(*table, k, committed[k]).ok());
+  }
+  ASSERT_TRUE(s->Commit().ok());
+
+  uint64_t aborts = 0;
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(s->Begin().ok());
+    std::vector<std::vector<uint8_t>> delta = committed;
+    bool failed = false;
+    int ops = 1 + static_cast<int>(rng.Uniform(8));
+    for (int j = 0; j < ops && !failed; ++j) {
+      uint64_t key = rng.Uniform(kKeys);
+      std::vector<uint8_t> row = draw_row();
+      Status st = s->Update(*table, key, row);
+      if (st.ok()) {
+        delta[key] = std::move(row);
+      } else {
+        ASSERT_EQ(st.code(), StatusCode::kOutOfSpace) << st.ToString();
+        failed = true;
+      }
+    }
+    if (failed || rng.Bernoulli(0.25)) {
+      Status st = s->Abort();
+      ASSERT_TRUE(st.ok()) << "abort of txn " << i << " failed (seed " << seed
+                           << "): " << st.ToString();
+      ++aborts;
+    } else {
+      ASSERT_TRUE(s->Commit().ok());
+      committed = std::move(delta);
+    }
+  }
+  EXPECT_GT(aborts, 0u);
+
+  ASSERT_TRUE(s->Begin().ok());
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    auto read = s->Read(*table, k);
+    ASSERT_TRUE(read.ok()) << "key " << k << " (seed " << seed << ")";
+    ASSERT_TRUE(std::equal(read->begin(), read->end(), committed[k].begin(),
+                           committed[k].end()))
+        << "key " << k << " (seed " << seed << ")";
+  }
+  ASSERT_TRUE(s->Commit().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AbortProperty, ::testing::Range<uint64_t>(1, 51));
 
 /// Redo parity: recovery redo (ApplyRedo on a frame) and media repair
 /// (RepairPage replaying the log into a zeroed image) run one kernel, so
@@ -245,11 +320,11 @@ TEST_P(RedoParity, RepairRebuildsTheImageRecoveryRedid) {
       }
       ASSERT_TRUE(s->Begin().ok());
       std::set<uint64_t> delta = present;
+      bool failed = false;
       int ops = 1 + static_cast<int>(rng.Uniform(8));
-      for (int j = 0; j < ops; ++j) {
+      for (int j = 0; j < ops && !failed; ++j) {
         uint64_t key = rng.Uniform(4000);
-        // A key's rows keep one size, so updates rewrite in place.
-        std::vector<uint8_t> row(8 + key * 37 % 113);
+        std::vector<uint8_t> row(8 + rng.Uniform(120));
         for (auto& b : row) b = static_cast<uint8_t>(rng.Next());
         if (!delta.contains(key)) {
           ASSERT_TRUE(s->Insert(*table, key, row).ok());
@@ -258,11 +333,17 @@ TEST_P(RedoParity, RepairRebuildsTheImageRecoveryRedid) {
           ASSERT_TRUE(s->Delete(*table, key).ok());
           delta.erase(key);
         } else {
-          ASSERT_TRUE(s->Update(*table, key, row).ok());
+          // A row that outgrows its full page fails; the abort below
+          // then rolls back the rows this transaction shrank and grew.
+          Status st = s->Update(*table, key, row);
+          ASSERT_TRUE(st.ok() || st.code() == StatusCode::kOutOfSpace)
+              << st.ToString();
+          failed = !st.ok();
         }
       }
-      if (rng.Bernoulli(0.25)) {
-        ASSERT_TRUE(s->Abort().ok());  // CLRs, heap and B-tree alike.
+      if (failed || rng.Bernoulli(0.25)) {
+        Status ab = s->Abort();  // CLRs, heap and B-tree alike.
+        ASSERT_TRUE(ab.ok()) << ab.ToString() << " txn " << i;
         ++aborts;
       } else {
         ASSERT_TRUE(s->Commit().ok());

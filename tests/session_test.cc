@@ -19,6 +19,14 @@ std::vector<uint8_t> Row(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
+/// `prefix` followed by the decimal `n`. Built by appending: with GCC 12,
+/// `"x" + std::to_string(n)` trips a false -Wrestrict report at -O3.
+std::string Numbered(const char* prefix, uint64_t n) {
+  std::string s(prefix);
+  s += std::to_string(n);
+  return s;
+}
+
 std::string AsString(std::span<const uint8_t> v) {
   return std::string(v.begin(), v.end());
 }
@@ -50,10 +58,12 @@ TEST(SessionTest, LifecycleAndBasicDml) {
   ASSERT_TRUE(table.ok());
   ASSERT_TRUE(session->Insert(*table, 1, Row("v1")).ok());
   EXPECT_EQ(AsString(*session->Read(*table, 1)), "v1");
-  ASSERT_TRUE(session->Update(*table, 1, Row("v2")).ok());
-  EXPECT_EQ(AsString(*session->Read(*table, 1)), "v2");
+  EXPECT_TRUE(session->Read(*table, 8).status().IsNotFound());
+  ASSERT_TRUE(session->Update(*table, 1, Row("v2-longer")).ok());
+  EXPECT_EQ(AsString(*session->Read(*table, 1)), "v2-longer");
   ASSERT_TRUE(session->Delete(*table, 1).ok());
   EXPECT_TRUE(session->Read(*table, 1).status().IsNotFound());
+  EXPECT_TRUE(session->Delete(*table, 1).IsNotFound());
   ASSERT_TRUE(session->Commit().ok());
   EXPECT_FALSE(session->InTransaction());
 }
@@ -73,8 +83,10 @@ TEST(SessionTest, AbortRollsBack) {
   ASSERT_TRUE(session->Abort().ok());
 
   ASSERT_TRUE(session->Begin().ok());
-  EXPECT_EQ(AsString(*session->Read(*table, 1)), "keep");
-  EXPECT_TRUE(session->Read(*table, 2).status().IsNotFound());
+  EXPECT_EQ(AsString(*session->Read(*table, 1)), "keep")
+      << "aborted update must restore the old image";
+  EXPECT_TRUE(session->Read(*table, 2).status().IsNotFound())
+      << "aborted insert must vanish from the index";
   ASSERT_TRUE(session->Commit().ok());
 }
 
@@ -88,7 +100,7 @@ TEST(SessionTest, CursorIteratesAcrossLeafBoundaries) {
   constexpr uint64_t kRows = 1500;
   static_assert(kRows > 2 * btree::BTreeNode::kMaxEntries);
   for (uint64_t k = 0; k < kRows; ++k) {
-    ASSERT_TRUE(session->Insert(*table, k, Row("r" + std::to_string(k))).ok());
+    ASSERT_TRUE(session->Insert(*table, k, Row(Numbered("r", k))).ok());
   }
   ASSERT_TRUE(session->Commit().ok());
 
@@ -98,19 +110,22 @@ TEST(SessionTest, CursorIteratesAcrossLeafBoundaries) {
   for (auto st = cur.Seek(0); cur.Valid(); st = cur.Next()) {
     ASSERT_TRUE(st.ok());
     ASSERT_EQ(cur.key(), expect);
-    ASSERT_EQ(AsString(cur.value()), "r" + std::to_string(expect));
+    ASSERT_EQ(AsString(cur.value()), Numbered("r", expect));
     ++expect;
   }
   EXPECT_EQ(expect, kRows);
 
-  // Bounded range, starting between keys.
-  uint64_t seen = 0;
+  // Bounded range [700, 900]: both ends included, rows in key order.
+  std::vector<uint64_t> range;
   for (auto st = cur.Seek(700); cur.Valid() && cur.key() <= 900;
        st = cur.Next()) {
     ASSERT_TRUE(st.ok());
-    ++seen;
+    ASSERT_EQ(AsString(cur.value()), Numbered("r", cur.key()));
+    range.push_back(cur.key());
   }
-  EXPECT_EQ(seen, 201u);
+  ASSERT_EQ(range.size(), 201u);
+  EXPECT_EQ(range.front(), 700u);
+  EXPECT_EQ(range.back(), 900u);
   ASSERT_TRUE(session->Commit().ok());
 }
 
@@ -321,21 +336,38 @@ TEST(SessionTest, ReadBufferIsReusedAcrossReads) {
   ASSERT_TRUE(session->Commit().ok());
 }
 
-TEST(SessionTest, DeprecatedFacadeInteroperatesWithSessions) {
-  Harness h;
-  auto session = h.sm->OpenSession();
-  ASSERT_TRUE(session->Begin().ok());
-  auto table = session->CreateTable("t");
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE(session->Insert(*table, 1, Row("via-session")).ok());
-  ASSERT_TRUE(session->Commit().ok());
+TEST(SessionTest, CloseAfterCrashLeavesTheTransactionToRestart) {
+  io::MemVolume volume;
+  log::LogStorage wal;
+  const StorageOptions opts = StorageOptions::ForStage(Stage::kFinal);
+  {
+    auto sm = StorageManager::Open(opts, &volume, &wal);
+    ASSERT_TRUE(sm.ok());
+    auto session = (*sm)->OpenSession();
+    ASSERT_TRUE(session->Begin().ok());
+    auto table = session->CreateTable("t");
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(session->Insert(*table, 1, Row("keep")).ok());
+    ASSERT_TRUE(session->Commit().ok());
 
-  // Old-style callers still work against the same data.
-  auto* txn = h.sm->Begin();
-  auto read = h.sm->Read(txn, *table, 1);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(std::string(read->begin(), read->end()), "via-session");
-  ASSERT_TRUE(h.sm->Commit(txn).ok());
+    ASSERT_TRUE(session->Begin().ok());
+    ASSERT_TRUE(session->Update(*table, 1, Row("in-flight")).ok());
+    ASSERT_TRUE(session->Insert(*table, 2, Row("in-flight")).ok());
+    (*sm)->SimulateCrash();
+    const Lsn tail = (*sm)->log()->next_lsn();
+    session.reset();  // The transaction dies with the crash.
+    EXPECT_EQ((*sm)->log()->next_lsn(), tail)
+        << "closing the session wrote to the abandoned log";
+  }
+  auto sm = StorageManager::Open(opts, &volume, &wal);
+  ASSERT_TRUE(sm.ok()) << sm.status().ToString();
+  auto session = (*sm)->OpenSession();
+  auto table = session->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(session->Begin().ok());
+  EXPECT_EQ(AsString(*session->Read(*table, 1)), "keep");
+  EXPECT_TRUE(session->Read(*table, 2).status().IsNotFound());
+  ASSERT_TRUE(session->Commit().ok());
 }
 
 }  // namespace

@@ -92,6 +92,41 @@ TEST_F(SlottedPageTest, UpdateInPlaceAndGrow) {
   EXPECT_EQ(sp_.Read(*slot)->size(), 200u);
 }
 
+TEST_F(SlottedPageTest, ShrinkKeepsCapacityForRollback) {
+  auto slot = sp_.Insert(std::vector<uint8_t>(400, 1));
+  ASSERT_TRUE(slot.ok());
+  while (sp_.Insert(std::vector<uint8_t>(50)).ok()) {
+  }
+  ASSERT_TRUE(sp_.Update(*slot, std::vector<uint8_t>(10, 2)).ok());
+  // The 390 bytes the shrink gave up stay reserved for the record.
+  EXPECT_FALSE(sp_.Fits(50));
+  EXPECT_FALSE(sp_.Insert(std::vector<uint8_t>(50)).ok());
+  ASSERT_TRUE(sp_.Restore(*slot, std::vector<uint8_t>(400, 1)).ok());
+  EXPECT_EQ(sp_.Read(*slot)->size(), 400u);
+}
+
+TEST_F(SlottedPageTest, RestoreGivesBackAnUndoneGrowth) {
+  auto a = sp_.Insert(std::vector<uint8_t>(100, 1));
+  auto b = sp_.Insert(std::vector<uint8_t>(100, 2));
+  ASSERT_TRUE(a.ok() && b.ok());
+  while (sp_.Insert(std::vector<uint8_t>(50)).ok()) {
+  }
+  // One transaction deletes b, grows a into b's bytes, then rolls back in
+  // reverse order: a's rollback must free what its growth took, or b
+  // cannot come back.
+  ASSERT_TRUE(sp_.Delete(*b).ok());
+  ASSERT_TRUE(sp_.Update(*a, std::vector<uint8_t>(190, 3)).ok());
+  ASSERT_TRUE(sp_.Restore(*a, std::vector<uint8_t>(100, 1)).ok());
+  ASSERT_TRUE(sp_.InsertAt(*b, std::vector<uint8_t>(100, 2)).ok());
+  auto row_a = sp_.Read(*a);
+  auto row_b = sp_.Read(*b);
+  ASSERT_TRUE(row_a.ok() && row_b.ok());
+  EXPECT_EQ(std::vector<uint8_t>(row_a->begin(), row_a->end()),
+            std::vector<uint8_t>(100, 1));
+  EXPECT_EQ(std::vector<uint8_t>(row_b->begin(), row_b->end()),
+            std::vector<uint8_t>(100, 2));
+}
+
 TEST_F(SlottedPageTest, FillsUntilOutOfSpace) {
   std::vector<uint8_t> rec(100);
   int inserted = 0;

@@ -223,7 +223,9 @@ TEST(BTreeTest, ScanInOrderAcrossLeaves) {
   uint64_t prev = 0;
   uint64_t seen = 0;
   ASSERT_TRUE(tree.Scan(0, UINT64_MAX, [&](uint64_t key, RecordId) {
-                    if (seen > 0) EXPECT_GT(key, prev);
+                    if (seen > 0) {
+                      EXPECT_GT(key, prev);
+                    }
                     prev = key;
                     ++seen;
                     return true;

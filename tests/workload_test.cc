@@ -44,7 +44,7 @@ struct Harness {
 TEST(DriverTest, CountsTransactionsAndLatency) {
   auto r = RunDriver(2, 10, 60, [](int, Rng& rng) {
     volatile uint64_t x = 0;
-    for (int i = 0; i < 100; ++i) x += rng.Next();
+    for (int i = 0; i < 100; ++i) x = x + rng.Next();
     return true;
   });
   EXPECT_GT(r.txns, 0u);
